@@ -1,5 +1,5 @@
 //! Criterion bench: coupled scheduling cost vs. process count, plus the
-//! thread-scaling study of the parallel force sweeps and the split exact
+//! thread-scaling study of the coupled scheduler and the split exact
 //! search (1/2/4/8 workers, results bit-identical by construction — see
 //! EXPERIMENTS.md for the recorded numbers).
 

@@ -7,8 +7,9 @@
 //!   (Perfetto / about:tracing),
 //! * `--timeline <file.jsonl>` — the JSONL span/event/timeline stream,
 //! * `--metrics` — print the metrics-registry summary table,
-//! * `--threads <N>` — worker threads for candidate-force evaluation
-//!   (0 = auto; results are bit-identical at every thread count).
+//! * `--threads <N>` — worker threads for partition shards, the period
+//!   search and the exact search (0 = auto; results are bit-identical at
+//!   every thread count).
 //!
 //! A binary constructs one [`ObsSession`] from its arguments, threads
 //! [`ObsSession::recorder`] through the `*_recorded` runners and calls

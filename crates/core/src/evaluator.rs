@@ -288,12 +288,12 @@ impl<'a> ModuloEvaluator<'a> {
     ///
     /// The removal term of an op (its occupancy over the *current* frame,
     /// subtracted) does not depend on the candidate, so it is computed
-    /// once per op per batch and replayed from `state.removals` — by copy
-    /// into a fresh buffer, element-wise add into a dirty one. Both are
-    /// bitwise identical to re-running the accumulation: the copy swaps
-    /// two addends landing on a zeroed element (IEEE addition is
-    /// commutative), the add contributes the exact same terms in the
-    /// exact same order.
+    /// once per op per batch, stored over its span only, and replayed from
+    /// `state.removals` — by copy into a fresh buffer, element-wise add
+    /// into a dirty one. Both are bitwise identical to re-running the
+    /// accumulation: the copy swaps two addends landing on a zeroed
+    /// element (IEEE addition is commutative), the add contributes the
+    /// exact same terms in the exact same order.
     fn deltas_into(
         &self,
         frames: &FrameTable,
@@ -339,145 +339,27 @@ impl<'a> ModuloEvaluator<'a> {
                 continue;
             }
             let len = state.bufs[i].len();
-            let (removal, rspan) = state.removals[o.index()].get_or_insert_with(|| {
-                let mut r = vec![0.0; len];
-                let span = tcms_fds::prob::accumulate(&mut r, frames.get(o), occ, -1.0);
-                (r, span)
-            });
+            let (rlo, removal) = state.removals[o.index()]
+                .get_or_insert_with(|| span_removal(frames.get(o), occ, len));
+            let rspan = (*rlo, *rlo + removal.len());
             let buf = &mut state.bufs[i];
-            let (rlo, rhi) = *rspan;
             if state.spans[i].0 >= state.spans[i].1 {
                 // Fresh buffer: land the removal term by copy, then add
                 // the placement term on top.
-                buf[rlo..rhi].copy_from_slice(&removal[rlo..rhi]);
-                state.spans[i] = *rspan;
+                buf[rspan.0..rspan.1].copy_from_slice(removal);
+                state.spans[i] = rspan;
                 let a = tcms_fds::prob::accumulate(buf, nf, occ, 1.0);
                 state.spans[i] = span_union(state.spans[i], a);
             } else {
                 // Dirty buffer: keep the seed's exact term order —
                 // placement first, then the removal terms.
                 let a = tcms_fds::prob::accumulate(buf, nf, occ, 1.0);
-                for (b, &r) in buf[rlo..rhi].iter_mut().zip(&removal[rlo..rhi]) {
+                for (b, &r) in buf[rspan.0..rspan.1].iter_mut().zip(removal.iter()) {
                     *b += r;
                 }
-                state.spans[i] = span_union(state.spans[i], span_union(a, *rspan));
+                state.spans[i] = span_union(state.spans[i], span_union(a, rspan));
             }
         }
-    }
-
-    /// Batched fast path for the overwhelmingly common candidate shape:
-    /// one op moved onto a global type. The removal term *and* the
-    /// committed distribution are candidate-independent, so their sum is
-    /// folded into per-op modulo boundary tables
-    /// ([`crate::kernel::modulo_boundary_max_tables`] over
-    /// `D_{b,k} - removal`) once per batch; each candidate then only
-    /// scans its placement span — `occ` steps for the width-1 frames the
-    /// engine sweeps — instead of the whole removal span.
-    ///
-    /// Bitwise identical to the generic path: outside the placement span
-    /// the delta buffer holds exactly the removal term (`d + r` — the
-    /// same two operands the tables pre-add), inside it holds
-    /// `r + p` accumulated onto a zeroed element (`0.0 + p == p`
-    /// bitwise for the positive placement terms), and regrouping the
-    /// zero-seeded per-slot max is order-insensitive over the
-    /// never-`NaN`/`-0.0` profile values.
-    ///
-    /// Returns `None` (caller falls back to the generic path) for local
-    /// pairs and empty blocks.
-    fn force_single_fast<'f>(
-        &self,
-        field: &'f ModuloField<'_>,
-        o: OpId,
-        nf: TimeFrame,
-        frames: &FrameTable,
-        state: &mut DeltaBufs,
-        scratch: &mut EvalScratch<'f>,
-    ) -> Option<f64> {
-        let (block, rtype, occ, range) = self.op_meta[o.index()];
-        let len = range as usize;
-        if len == 0 {
-            return None;
-        }
-        let pos = scratch.plan_pos(self, field, block, rtype);
-        let plan = &scratch.plans[pos];
-        let g = plan.global.as_ref()?;
-        if state.removals.len() != self.op_meta.len() {
-            state.removals.resize(self.op_meta.len(), None);
-        }
-        if state.op_tables.len() != self.op_meta.len() {
-            state.op_tables.resize(self.op_meta.len(), None);
-            state.op_uses.resize(self.op_meta.len(), 0);
-        }
-        // The tables only pay off once an op is scored against more than
-        // one slot (the build walks the whole block range); the op's
-        // first candidate takes the generic span fold instead.
-        if state.op_uses[o.index()] == 0 && state.op_tables[o.index()].is_none() {
-            state.op_uses[o.index()] = 1;
-            return None;
-        }
-        let (rbuf, rspan) = state.removals[o.index()].get_or_insert_with(|| {
-            let mut r = vec![0.0; len];
-            let span = tcms_fds::prob::accumulate(&mut r, frames.get(o), occ, -1.0);
-            (r, span)
-        });
-        let (rlo, rhi) = *rspan;
-        let (pre, suf) = state.op_tables[o.index()].get_or_insert_with(|| {
-            let mut combined = plan.dist.to_vec();
-            for (c, &r) in combined[rlo..rhi].iter_mut().zip(&rbuf[rlo..rhi]) {
-                *c += r;
-            }
-            crate::kernel::modulo_boundary_max_tables(&combined, g.rho)
-        });
-        // Placement span, clamped exactly like
-        // [`tcms_fds::prob::accumulate`] clamps its writes.
-        let last = (nf.alap + occ - 1).min(range - 1);
-        let (plo, phi) = if nf.asap > last {
-            (0, 0)
-        } else {
-            (nf.asap as usize, last as usize + 1)
-        };
-        let gdelta = &mut scratch.gdelta;
-        if gdelta.len() != g.rho {
-            gdelta.resize(g.rho, 0.0);
-        }
-        let pre_row = &pre[plo * g.rho..(plo + 1) * g.rho];
-        let suf_row = &suf[phi * g.rho..(phi + 1) * g.rho];
-        for ((d, &a), &b) in gdelta.iter_mut().zip(pre_row).zip(suf_row) {
-            *d = a.max(b);
-        }
-        // The placement terms are the run-cached quotients `accumulate`
-        // would write onto a zeroed buffer (`0.0 + p == p` bitwise for
-        // the positive terms), folded in place of reading them back.
-        let width = f64::from(nf.width());
-        let mut count_cached = 0u32;
-        let mut term = 0.0f64;
-        let mut slot = plo % g.rho;
-        for ((t, &d), &r) in (plo..).zip(&plan.dist[plo..phi]).zip(&rbuf[plo..phi]) {
-            let t32 = t as u32;
-            let lo = nf.asap.max(t32.saturating_sub(occ - 1));
-            let hi = nf.alap.min(t32);
-            let count = hi - lo + 1;
-            if count != count_cached {
-                count_cached = count;
-                term = f64::from(count) / width;
-            }
-            gdelta[slot] = gdelta[slot].max(d + (r + term));
-            slot += 1;
-            if slot == g.rho {
-                slot = 0;
-            }
-        }
-        if let Some(sib) = &g.siblings {
-            crate::kernel::slot_max_into(gdelta, sib);
-        }
-        Some(tcms_fds::slab::force_sum_sub(
-            0.0,
-            g.gprof,
-            gdelta,
-            g.mold,
-            plan.weight,
-            self.config.lookahead,
-        ))
     }
 
     /// Probability deltas of `changed`, grouped per `(block, type)`.
@@ -502,22 +384,32 @@ struct DeltaBufs {
     bufs: Vec<Vec<f64>>,
     spans: Vec<(usize, usize)>,
     removals: Vec<Option<Removal>>,
-    /// Per-op modulo boundary tables over `D_{b,k} + removal` — the
-    /// candidate-independent part of the single-op tentative fold,
-    /// pre-reduced so [`ModuloEvaluator::force_single_fast`] only scans
-    /// the placement span. Sized together with `removals`.
-    op_tables: Vec<Option<(Vec<f64>, Vec<f64>)>>,
-    /// Per-op single-op candidate counts — the lazy-build trigger for
-    /// `op_tables`.
-    op_uses: Vec<u32>,
     /// Whether the removal terms are cached in `removals`. Only worth the
     /// per-op table for batches, where an op's removal is replayed for
     /// many candidate frames; one-shot evaluations accumulate directly.
     cache_removals: bool,
 }
 
-/// One cached removal term: the accumulated buffer and its dirty span.
-type Removal = (Vec<f64>, (usize, usize));
+/// One cached removal term: the first time step of its span and the
+/// span's values.
+type Removal = (usize, Vec<f64>);
+
+/// The removal term of an op with frame `frame` and occupancy `occ` in a
+/// block of `len` steps, stored over its span only.
+///
+/// Bitwise what [`tcms_fds::prob::accumulate`] writes into a zeroed
+/// `len`-step buffer: the accumulation reads the frame only through
+/// offsets from `frame.asap`, so running it on the frame shifted to start
+/// at 0, over a buffer that starts at `frame.asap` and ends where the
+/// full-length write would be clamped, writes the same terms.
+fn span_removal(frame: TimeFrame, occ: u32, len: usize) -> Removal {
+    let lo = (frame.asap as usize).min(len);
+    let hi = ((frame.alap + occ) as usize).min(len);
+    let mut r = vec![0.0; hi - lo];
+    let shifted = TimeFrame::new(0, frame.alap - frame.asap);
+    tcms_fds::prob::accumulate(&mut r, shifted, occ, -1.0);
+    (lo, r)
+}
 
 /// Union of two half-open spans, treating empty spans as neutral.
 fn span_union(a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
@@ -657,13 +549,6 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
         candidates
             .iter()
             .map(|changed| {
-                if let [(o, nf)] = **changed {
-                    if let Some(f) =
-                        self.force_single_fast(&self.field, o, nf, frames, &mut state, &mut scratch)
-                    {
-                        return f;
-                    }
-                }
                 self.deltas_into(frames, changed, &mut state);
                 self.force_from_deltas(&self.field, &state, &mut scratch)
             })

@@ -27,18 +27,25 @@
 //! [`IfdsEngine::run_naive`] runs the identical selection loop without the
 //! cache and serves as the oracle: its outcome must match `run` exactly.
 //!
-//! # Parallel evaluation
+//! # The candidate sweep
 //!
-//! The candidate sweep of one iteration splits into three passes: a
-//! sequential cache consultation, a (possibly parallel) evaluation of the
-//! missing force pairs, and a sequential selection fold in scope order.
-//! [`ForceEvaluator::force`] takes `&self`, so pass 2 may compute pairs in
-//! any order on any thread and still produce bit-identical values; the
-//! epsilon tie-break of the selection (`diff > best + 1e-12`) is
-//! *non-associative*, which is why pass 3 stays a sequential index-ordered
-//! fold. The schedule is therefore bit-identical at every thread count —
-//! the determinism suite and the `run_naive` oracle pin this down.
+//! One iteration runs three sequential passes in scope order: consult the
+//! cache and collect the force pairs that must be computed, score every
+//! extreme placement of those pairs in one [`ForceEvaluator::force_batch`]
+//! call, then fold the selection. Pass 2 builds each placement's implied
+//! changes cone-locally (see [`IfdsEngine::implied_changes`]) and appends
+//! them back to back into one flat buffer that the run loop reuses across
+//! iterations, so the sweep allocates nothing per candidate. The epsilon
+//! tie-break of the selection (`diff > best + 1e-12`) is *non-associative*,
+//! which is why pass 3 is an index-ordered fold. The engine never fans out
+//! itself: parallelism lives at coarser grain (partition shards, the
+//! period search, the exact search's root split), and every engine run is
+//! bit-identical at every thread count — the determinism suite and the
+//! `run_naive` oracle pin this down.
 
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use tcms_ir::frames::constrained_frames;
@@ -66,9 +73,6 @@ pub struct IfdsStats {
     /// was enabled (stamp moved). `ops_evaluated - cache_misses` pairs were
     /// computed with caching unavailable or disabled.
     pub cache_misses: u64,
-    /// Candidate force pairs evaluated inside a parallel fan-out (a subset
-    /// of `ops_evaluated`; the rest ran inline on the calling thread).
-    pub parallel_evals: u64,
     /// Candidate force pairs evaluated through the evaluator's batched
     /// entry point ([`ForceEvaluator::force_batch`]) instead of one
     /// `force` call per placement. A subset of `ops_evaluated`.
@@ -88,7 +92,6 @@ impl IfdsStats {
         self.ops_evaluated += other.ops_evaluated;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.parallel_evals += other.parallel_evals;
         self.batched_evals += other.batched_evals;
         self.eval_time += other.eval_time;
         self.commit_time += other.commit_time;
@@ -116,7 +119,6 @@ impl IfdsStats {
         rec.counter_add("ifds.ops_evaluated", self.ops_evaluated);
         rec.counter_add("ifds.cache_hits", self.cache_hits);
         rec.counter_add("ifds.cache_misses", self.cache_misses);
-        rec.counter_add("ifds.parallel_evals", self.parallel_evals);
         rec.counter_add("ifds.batched_evals", self.batched_evals);
         rec.counter_add("ifds.eval_us", self.eval_time.as_micros() as u64);
         rec.counter_add("ifds.commit_us", self.commit_time.as_micros() as u64);
@@ -149,7 +151,7 @@ impl PartialEq for IfdsOutcome {
 impl Eq for IfdsOutcome {}
 
 /// Where one candidate's force pair comes from in the current iteration:
-/// the incremental cache, or slot `j` of the freshly evaluated batch.
+/// the incremental cache, or pair `j` of the freshly evaluated batch.
 #[derive(Clone, Copy)]
 enum CandSource {
     Cached(f64, f64),
@@ -161,12 +163,151 @@ enum CandSource {
 /// incremental cache is on.
 type PendingEval = (OpId, TimeFrame, Option<(u64, u64)>);
 
+/// Cone-local pin propagation: the block topological positions, computed
+/// once per engine, plus scratch reused across every pin.
+struct Cone {
+    /// `topo_pos[o]`: position of `o` in its block's topological order.
+    topo_pos: Vec<u32>,
+    /// New bound of each op the current pin moves (the pinned op
+    /// excluded): the raised ASAP downstream, the lowered ALAP upstream.
+    /// `None` outside the cone; reset before [`Cone::pin_into`] returns.
+    bound: Vec<Option<u32>>,
+    /// Pending downstream members, popped in ascending topological order.
+    forward: BinaryHeap<Reverse<u32>>,
+    /// Pending upstream members, popped in descending topological order.
+    backward: BinaryHeap<u32>,
+}
+
+impl Cone {
+    fn new(system: &System) -> Self {
+        let n = system.num_ops();
+        let mut topo_pos = vec![0; n];
+        for b in system.block_ids() {
+            for (pos, &o) in system.topo_order(b).iter().enumerate() {
+                topo_pos[o.index()] = u32::try_from(pos).expect("block size fits u32");
+            }
+        }
+        Cone {
+            topo_pos,
+            bound: vec![None; n],
+            forward: BinaryHeap::new(),
+            backward: BinaryHeap::new(),
+        }
+    }
+
+    /// Appends to `out` the frame changes implied by pinning `op` to
+    /// `frame`, `op` itself included, in the block's topological order —
+    /// exactly the changed entries of [`constrained_frames`], in its
+    /// order (checked against it in debug builds).
+    ///
+    /// Only the affected cone is visited: raising the ASAP raises ASAPs
+    /// along successor chains, lowering the ALAP lowers ALAPs along
+    /// predecessor chains, and nothing else can move. That holds because
+    /// `frames` is a fixpoint of [`constrained_frames`] (see
+    /// [`IfdsEngine::implied_changes`]): every unchanged op already
+    /// satisfies its precedence bounds. Upstream members precede `op` in
+    /// topological order and downstream ones follow it, so emitting the
+    /// upstream cone ascending, then `op`, then the downstream cone
+    /// ascending reproduces the oracle's order.
+    fn pin_into(
+        &mut self,
+        system: &System,
+        frames: &FrameTable,
+        op: OpId,
+        frame: TimeFrame,
+        out: &mut Vec<(OpId, TimeFrame)>,
+    ) {
+        let current = frames.get(op);
+        assert!(
+            current.intersect(frame) == Some(frame),
+            "pinned frame must be within the current frame"
+        );
+        let order = system.topo_order(system.op(op).block());
+        let start = out.len();
+        if frame.alap < current.alap {
+            self.lower_preds(system, frames, op, frame.alap);
+            while let Some(pos) = self.backward.pop() {
+                let q = order[pos as usize];
+                let alap = self.bound[q.index()].expect("queued ops are bounded");
+                self.lower_preds(system, frames, q, alap);
+                out.push((q, TimeFrame::new(frames.get(q).asap, alap)));
+            }
+            out[start..].reverse();
+        }
+        if frame != current {
+            out.push((op, frame));
+        }
+        if frame.asap > current.asap {
+            self.raise_succs(system, frames, op, frame.asap);
+            while let Some(Reverse(pos)) = self.forward.pop() {
+                let q = order[pos as usize];
+                let asap = self.bound[q.index()].expect("queued ops are bounded");
+                self.raise_succs(system, frames, q, asap);
+                out.push((q, TimeFrame::new(asap, frames.get(q).alap)));
+            }
+        }
+        for &(q, _) in &out[start..] {
+            self.bound[q.index()] = None;
+        }
+        debug_assert_eq!(
+            &out[start..],
+            solved_changes(system, frames, op, frame).as_slice(),
+            "cone propagation diverged from constrained_frames"
+        );
+    }
+
+    /// Lowers the ALAP of every predecessor of `q` that must start by
+    /// `alap - delay` and queues the ones that moved.
+    fn lower_preds(&mut self, system: &System, frames: &FrameTable, q: OpId, alap: u32) {
+        for &p in system.preds(q) {
+            let b = alap - system.delay(p);
+            let slot = &mut self.bound[p.index()];
+            if b < slot.unwrap_or(frames.get(p).alap) && slot.replace(b).is_none() {
+                self.backward.push(self.topo_pos[p.index()]);
+            }
+        }
+    }
+
+    /// Raises the ASAP of every successor of `q`, which cannot start
+    /// before `asap + delay(q)`, and queues the ones that moved.
+    fn raise_succs(&mut self, system: &System, frames: &FrameTable, q: OpId, asap: u32) {
+        let b = asap + system.delay(q);
+        for &s in system.succs(q) {
+            let slot = &mut self.bound[s.index()];
+            if b > slot.unwrap_or(frames.get(s).asap) && slot.replace(b).is_none() {
+                self.forward.push(Reverse(self.topo_pos[s.index()]));
+            }
+        }
+    }
+}
+
+/// The reference for [`Cone::pin_into`]: re-solve `op`'s whole block with
+/// [`constrained_frames`] and keep the frames that changed.
+fn solved_changes(
+    system: &System,
+    frames: &FrameTable,
+    op: OpId,
+    frame: TimeFrame,
+) -> Vec<(OpId, TimeFrame)> {
+    let block = system.op(op).block();
+    constrained_frames(
+        system,
+        block,
+        |q| if q == op { frame } else { frames.get(q) },
+    )
+    .expect("pinning inside a consistent frame stays feasible")
+    .into_iter()
+    .filter(|&(q, f)| f != frames.get(q))
+    .collect()
+}
+
 /// Improved-FDS scheduling engine over a set of blocks.
 pub struct IfdsEngine<'a> {
     system: &'a System,
     scope_ops: Vec<OpId>,
     frames: FrameTable,
     budget: RunBudget,
+    cone: RefCell<Cone>,
 }
 
 impl<'a> IfdsEngine<'a> {
@@ -186,6 +327,7 @@ impl<'a> IfdsEngine<'a> {
             scope_ops,
             frames: FrameTable::initial(system),
             budget: RunBudget::UNLIMITED,
+            cone: RefCell::new(Cone::new(system)),
         }
     }
 
@@ -203,36 +345,36 @@ impl<'a> IfdsEngine<'a> {
     }
 
     /// Frame changes implied by constraining `op` to `frame`, including
-    /// `op` itself. Only actually-changing frames are listed.
+    /// `op` itself. Only actually-changing frames are listed, in the
+    /// topological order of `op`'s block.
+    ///
+    /// The result equals re-solving the block with [`constrained_frames`]
+    /// and keeping the frames that changed, but only the affected cone is
+    /// visited: predecessors when the ALAP drops, successors when the ASAP
+    /// rises. Debug builds check every call against that oracle.
+    ///
+    /// Precondition: the frame table is a fixpoint of
+    /// [`constrained_frames`], i.e. every frame already satisfies its
+    /// precedence bounds. [`FrameTable::initial`] is one, and the engine
+    /// only ever applies change sets produced here, which keep it one.
+    /// Callers of [`IfdsEngine::apply`] must do the same.
     ///
     /// # Panics
     ///
     /// Panics if `frame` is not a sub-range of `op`'s current frame (such a
     /// pin could be infeasible).
     pub fn implied_changes(&self, op: OpId, frame: TimeFrame) -> Vec<(OpId, TimeFrame)> {
-        let current = self.frames.get(op);
-        assert!(
-            current.intersect(frame) == Some(frame),
-            "pinned frame must be within the current frame"
-        );
-        let block = self.system.op(op).block();
-        let solved = constrained_frames(self.system, block, |q| {
-            if q == op {
-                frame
-            } else {
-                self.frames.get(q)
-            }
-        })
-        .expect("pinning inside a consistent frame stays feasible");
-        solved
-            .into_iter()
-            .filter(|&(q, f)| f != self.frames.get(q))
-            .collect()
+        let mut out = Vec::new();
+        self.cone
+            .borrow_mut()
+            .pin_into(self.system, &self.frames, op, frame, &mut out);
+        out
     }
 
     /// Applies committed frame changes to the engine's table. Drivers that
     /// reuse the engine's propagation (like the original-FDS baseline) call
-    /// this after [`ForceEvaluator::commit`].
+    /// this after [`ForceEvaluator::commit`], with a change set from
+    /// [`IfdsEngine::implied_changes`].
     pub fn apply(&mut self, changes: &[(OpId, TimeFrame)]) {
         for &(q, f) in changes {
             self.frames.set(q, f);
@@ -243,22 +385,6 @@ impl<'a> IfdsEngine<'a> {
     pub fn placement_force<E: ForceEvaluator>(&self, eval: &E, op: OpId, t: u32) -> f64 {
         let changes = self.implied_changes(op, TimeFrame::new(t, t));
         eval.force(&self.frames, &changes)
-    }
-
-    /// Forces of the two extreme placements of `op` in frame `fr`,
-    /// evaluated as one batch so the evaluator can share state-dependent
-    /// intermediates between them. Bit-identical to two
-    /// [`IfdsEngine::placement_force`] calls.
-    pub fn placement_force_pair<E: ForceEvaluator>(
-        &self,
-        eval: &E,
-        op: OpId,
-        fr: TimeFrame,
-    ) -> (f64, f64) {
-        let lo = self.implied_changes(op, TimeFrame::new(fr.asap, fr.asap));
-        let hi = self.implied_changes(op, TimeFrame::new(fr.alap, fr.alap));
-        let f = eval.force_batch(&self.frames, &[&lo, &hi]);
-        (f[0], f[1])
     }
 
     /// Runs gradual time-frame reduction to completion and extracts the
@@ -272,7 +398,7 @@ impl<'a> IfdsEngine<'a> {
     /// Returns [`EngineError::BudgetExhausted`] if a budget installed with
     /// [`IfdsEngine::with_budget`] trips before every frame is fixed. With
     /// the default unlimited budget the run always succeeds.
-    pub fn run<E: ForceEvaluator + Sync>(self, eval: &mut E) -> Result<IfdsOutcome, EngineError> {
+    pub fn run<E: ForceEvaluator>(self, eval: &mut E) -> Result<IfdsOutcome, EngineError> {
         self.run_impl(eval, true, true, &NoopRecorder)
     }
 
@@ -286,7 +412,7 @@ impl<'a> IfdsEngine<'a> {
     /// Same as [`IfdsEngine::run`]. On a budget trip an
     /// `ifds.budget_exhausted` event carrying the partial-progress counters
     /// is emitted through `rec` before the error is returned.
-    pub fn run_recorded<E: ForceEvaluator + Sync>(
+    pub fn run_recorded<E: ForceEvaluator>(
         self,
         eval: &mut E,
         rec: &dyn Recorder,
@@ -304,10 +430,7 @@ impl<'a> IfdsEngine<'a> {
     ///
     /// Same as [`IfdsEngine::run`].
     #[cfg(any(test, feature = "naive-oracle"))]
-    pub fn run_naive<E: ForceEvaluator + Sync>(
-        self,
-        eval: &mut E,
-    ) -> Result<IfdsOutcome, EngineError> {
+    pub fn run_naive<E: ForceEvaluator>(self, eval: &mut E) -> Result<IfdsOutcome, EngineError> {
         self.run_impl(eval, false, false, &NoopRecorder)
     }
 
@@ -327,7 +450,7 @@ impl<'a> IfdsEngine<'a> {
         }
     }
 
-    fn run_impl<E: ForceEvaluator + Sync>(
+    fn run_impl<E: ForceEvaluator>(
         mut self,
         eval: &mut E,
         use_cache: bool,
@@ -337,14 +460,6 @@ impl<'a> IfdsEngine<'a> {
         let run_started = Instant::now();
         let _reduce_span = span!(rec, "ifds.reduce", ops = self.scope_ops.len());
         let mut stats = IfdsStats::default();
-        // Thread count is resolved once per run; 1 keeps the whole sweep
-        // inline. Fanning out fewer pairs than this is slower than just
-        // computing them (a broadcast costs a few microseconds).
-        let threads = rayon::current_num_threads();
-        const PAR_MIN_PAIRS: usize = 4;
-        if rec.enabled() {
-            rec.gauge_set("ifds.threads", threads as f64);
-        }
         // cache[op] = (block frame generation, evaluator context stamp,
         // f_lo, f_hi) at computation time. The sentinel generation
         // `u64::MAX` is unreachable (generations count frame mutations), so
@@ -357,12 +472,17 @@ impl<'a> IfdsEngine<'a> {
         // Frame generation of the youngest change per block, mirrored off
         // the table's per-op stamps as commits are applied.
         let mut block_gen: Vec<u64> = vec![0; self.system.num_blocks()];
-        // Per-iteration scratch: every unfixed candidate in scope order
-        // (`cands`) and the subset whose force pair must be computed this
-        // iteration (`to_eval`, with the cache write-back key when the
-        // cache is on).
+        // Per-iteration scratch, reused across iterations: every unfixed
+        // candidate in scope order (`cands`), the subset whose force pair
+        // must be computed this iteration (`to_eval`, with the cache
+        // write-back key when the cache is on), and the implied changes of
+        // every pending placement back to back in one flat buffer —
+        // placement `i` is `changes[offsets[i]..offsets[i + 1]]`, pair `j`
+        // owns placements `2j` (ASAP) and `2j + 1` (ALAP).
         let mut cands: Vec<(OpId, CandSource)> = Vec::new();
         let mut to_eval: Vec<PendingEval> = Vec::new();
+        let mut changes: Vec<(OpId, TimeFrame)> = Vec::new();
+        let mut offsets: Vec<usize> = Vec::new();
         let mut iterations = 0;
         let watchdog_armed = !self.budget.is_unlimited();
         loop {
@@ -444,74 +564,41 @@ impl<'a> IfdsEngine<'a> {
                 };
                 cands.push((o, src));
             }
-            // Pass 2: compute the missing pairs — on the worker pool when
-            // there is one and the batch is worth the fan-out. `force` is
-            // a pure `&self` read of the evaluator, so computing pairs out
-            // of order yields bit-identical values; only the *fold* order
-            // below matters for the tie-break.
-            let forces: Vec<(f64, f64)> = if threads > 1 && to_eval.len() >= PAR_MIN_PAIRS {
-                stats.parallel_evals += to_eval.len() as u64;
-                if use_batch {
-                    stats.batched_evals += to_eval.len() as u64;
-                }
-                let eval_ref: &E = eval;
-                let batch = &to_eval;
-                let this = &self;
-                rayon::par_map_indexed(batch.len(), |j| {
-                    let (o, fr, _) = batch[j];
-                    if use_batch {
-                        // Workers batch per pair: the two extreme
-                        // placements share the evaluator's candidate-
-                        // independent intermediates.
-                        this.placement_force_pair(eval_ref, o, fr)
-                    } else {
-                        (
-                            this.placement_force(eval_ref, o, fr.asap),
-                            this.placement_force(eval_ref, o, fr.alap),
-                        )
+            // Pass 2: build the implied changes of both extreme placements
+            // of every pending pair, then score them all — in one
+            // `force_batch` call, so the evaluator shares candidate-
+            // independent intermediates across the whole sweep, or with one
+            // `force` call per placement on the reference path.
+            changes.clear();
+            offsets.clear();
+            offsets.push(0);
+            {
+                let mut cone = self.cone.borrow_mut();
+                for &(o, fr, _) in &to_eval {
+                    for t in [fr.asap, fr.alap] {
+                        let pin = TimeFrame::new(t, t);
+                        cone.pin_into(self.system, &self.frames, o, pin, &mut changes);
+                        offsets.push(changes.len());
                     }
-                })
-            } else if use_batch && !to_eval.is_empty() {
-                // Sequential batched sweep: score every extreme placement
-                // of the iteration in one `force_batch` call, so the
-                // evaluator shares candidate-independent intermediates
-                // (delta scratch, sibling profiles) across the whole sweep.
+                }
+            }
+            let placements = offsets.windows(2).map(|w| &changes[w[0]..w[1]]);
+            let forces: Vec<f64> = if use_batch {
                 stats.batched_evals += to_eval.len() as u64;
-                let changesets: Vec<Vec<(OpId, TimeFrame)>> = to_eval
-                    .iter()
-                    .flat_map(|&(o, fr, _)| {
-                        [
-                            self.implied_changes(o, TimeFrame::new(fr.asap, fr.asap)),
-                            self.implied_changes(o, TimeFrame::new(fr.alap, fr.alap)),
-                        ]
-                    })
-                    .collect();
-                let views: Vec<&[(OpId, TimeFrame)]> =
-                    changesets.iter().map(|c| c.as_slice()).collect();
-                let flat = eval.force_batch(&self.frames, &views);
-                flat.chunks_exact(2).map(|c| (c[0], c[1])).collect()
+                let views: Vec<&[(OpId, TimeFrame)]> = placements.collect();
+                eval.force_batch(&self.frames, &views)
             } else {
-                to_eval
-                    .iter()
-                    .map(|&(o, fr, _)| {
-                        (
-                            self.placement_force(eval, o, fr.asap),
-                            self.placement_force(eval, o, fr.alap),
-                        )
-                    })
-                    .collect()
+                placements.map(|c| eval.force(&self.frames, c)).collect()
             };
-            // Pass 3 (sequential, scope order): cache write-back and the
-            // selection fold. The epsilon tie-break is non-associative, so
-            // this fold must run in scope order on one thread — that is
-            // what keeps the parallel run bit-identical to the sequential
-            // loop.
+            // Pass 3 (scope order): cache write-back and the selection fold.
+            // The epsilon tie-break is non-associative, so this fold must
+            // run in scope order.
             let mut best: Option<(f64, OpId, bool)> = None;
             for &(o, src) in &cands {
                 let (f_lo, f_hi) = match src {
                     CandSource::Cached(f_lo, f_hi) => (f_lo, f_hi),
                     CandSource::Pending(j) => {
-                        let (f_lo, f_hi) = forces[j];
+                        let (f_lo, f_hi) = (forces[2 * j], forces[2 * j + 1]);
                         if let Some((gen, ctx)) = to_eval[j].2 {
                             cache[o.index()] = (gen, ctx, f_lo, f_hi);
                         }
@@ -539,7 +626,10 @@ impl<'a> IfdsEngine<'a> {
             } else {
                 TimeFrame::new(fr.asap, fr.alap - 1)
             };
-            let changes = self.implied_changes(o, nf);
+            changes.clear();
+            self.cone
+                .get_mut()
+                .pin_into(self.system, &self.frames, o, nf, &mut changes);
             eval.commit(&self.frames, &changes);
             for &(q, f) in &changes {
                 self.frames.set(q, f);
@@ -670,6 +760,96 @@ mod tests {
         let ch = eng.implied_changes(x, TimeFrame::new(1, 1));
         assert!(ch.contains(&(x, TimeFrame::new(1, 1))));
         assert!(ch.contains(&(y, TimeFrame::new(2, 2))));
+    }
+
+    /// A chain `a -> b -> c -> d` plus a diamond `d -> {m, e} -> f` with a
+    /// two-step multiplier: pins cascade over several levels in both
+    /// directions and must reproduce the full-block re-solve exactly.
+    #[test]
+    fn implied_changes_cascade_over_several_levels() {
+        let mut lib = ResourceLibrary::new();
+        let add = lib.add(ResourceType::new("add", 1)).unwrap();
+        let mul = lib.add(ResourceType::new("mul", 2).pipelined()).unwrap();
+        let mut b = SystemBuilder::new(lib);
+        let p = b.add_process("p");
+        let blk = b.add_block(p, "b", 10).unwrap();
+        let ops: Vec<OpId> = ["a", "b", "c", "d", "m", "e", "f"]
+            .iter()
+            .map(|&n| b.add_op(blk, n, if n == "m" { mul } else { add }).unwrap())
+            .collect();
+        let [a, bb, c, d, m, e, f] = ops[..] else {
+            unreachable!()
+        };
+        for (x, y) in [(a, bb), (bb, c), (c, d), (d, m), (d, e), (m, f), (e, f)] {
+            b.add_dep(x, y).unwrap();
+        }
+        let sys = b.build().unwrap();
+        let topo = sys.topo_order(blk);
+        let in_topo_order = |mut v: Vec<(OpId, TimeFrame)>| {
+            v.sort_by_key(|&(o, _)| topo.iter().position(|&q| q == o));
+            v
+        };
+        let eng = IfdsEngine::new(&sys, vec![blk]);
+        // Slack 3 everywhere on the critical path a-b-c-d-m-f.
+        assert_eq!(eng.frames().get(a), TimeFrame::new(0, 3));
+        assert_eq!(eng.frames().get(e), TimeFrame::new(4, 8));
+        assert_eq!(eng.frames().get(f), TimeFrame::new(6, 9));
+        // Pinning b late pushes c, d, both diamond arms and f up.
+        assert_eq!(
+            eng.implied_changes(bb, TimeFrame::new(4, 4)),
+            in_topo_order(vec![
+                (bb, TimeFrame::new(4, 4)),
+                (c, TimeFrame::new(5, 5)),
+                (d, TimeFrame::new(6, 6)),
+                (m, TimeFrame::new(7, 7)),
+                (e, TimeFrame::new(7, 8)),
+                (f, TimeFrame::new(9, 9)),
+            ])
+        );
+        // Pinning f early pulls the whole upstream cone to its ASAPs.
+        assert_eq!(
+            eng.implied_changes(f, TimeFrame::new(6, 6)),
+            in_topo_order(vec![
+                (a, TimeFrame::new(0, 0)),
+                (bb, TimeFrame::new(1, 1)),
+                (c, TimeFrame::new(2, 2)),
+                (d, TimeFrame::new(3, 3)),
+                (m, TimeFrame::new(4, 4)),
+                (e, TimeFrame::new(4, 5)),
+                (f, TimeFrame::new(6, 6)),
+            ])
+        );
+    }
+
+    #[test]
+    fn implied_changes_of_a_slack_pin_is_the_op_alone() {
+        let mut lib = ResourceLibrary::new();
+        let add = lib.add(ResourceType::new("add", 1)).unwrap();
+        let mul = lib.add(ResourceType::new("mul", 2).pipelined()).unwrap();
+        let mut b = SystemBuilder::new(lib);
+        let p = b.add_process("p");
+        let blk = b.add_block(p, "b", 8).unwrap();
+        // y waits for the two-step z, so x has a step of slack before y.
+        let x = b.add_op(blk, "x", add).unwrap();
+        let z = b.add_op(blk, "z", mul).unwrap();
+        let y = b.add_op(blk, "y", add).unwrap();
+        let free = b.add_op(blk, "free", add).unwrap();
+        b.add_dep(x, y).unwrap();
+        b.add_dep(z, y).unwrap();
+        let sys = b.build().unwrap();
+        let eng = IfdsEngine::new(&sys, vec![blk]);
+        assert_eq!(eng.frames().get(x), TimeFrame::new(0, 6));
+        assert_eq!(eng.frames().get(y), TimeFrame::new(2, 7));
+        assert_eq!(
+            eng.implied_changes(x, TimeFrame::new(1, 6)),
+            vec![(x, TimeFrame::new(1, 6))]
+        );
+        assert_eq!(
+            eng.implied_changes(free, TimeFrame::new(3, 5)),
+            vec![(free, TimeFrame::new(3, 5))]
+        );
+        // Pinning to the current frame changes nothing at all.
+        assert!(eng.implied_changes(y, TimeFrame::new(2, 7)).is_empty());
     }
 
     #[test]

@@ -446,9 +446,10 @@ SCHEDULE OPTIONS:
                           bit-identical to a monolithic run. Designs with 500+
                           operations partition automatically; results are
                           re-verified against the full spec and bypass the cache
-  --threads <N>           worker threads for candidate-force evaluation
-                          (0 = auto; also via the TCMS_THREADS env var);
-                          results are bit-identical at every thread count
+  --threads <N>           worker threads for partition shards, the period
+                          search and the exact search; the IFDS sweep itself
+                          is sequential (0 = auto; also via the TCMS_THREADS
+                          env var); results are bit-identical at every count
   --cache-dir <DIR>       persistent content-addressed result cache:
                           isomorphic designs re-use earlier schedules
 

@@ -1,7 +1,7 @@
 //! Cross-thread-count determinism suite.
 //!
-//! The parallel force sweeps (S3), the shared-incumbent period search
-//! and the split exact search all promise *bit-identical* results at
+//! The scheduler, the shared-incumbent period search, the partition
+//! shards and the split exact search all promise *bit-identical* results at
 //! every worker-thread count. These tests pin that promise end to end
 //! on randomized systems: anything the CLI can print — schedules,
 //! reports, exploration winners — must not change when the thread count

@@ -9,7 +9,9 @@
 //! 2. Incremental `force()` vs `force_naive()` for both the classic
 //!    per-block evaluator and the modulo evaluator, after arbitrary
 //!    commit sequences on random systems.
-//! 3. The cached engine run vs the cache-free reference run — here the
+//! 3. The engine's cone-local `implied_changes` vs re-solving the whole
+//!    block with `constrained_frames` and keeping the changed frames.
+//! 4. The cached engine run vs the cache-free reference run — here the
 //!    requirement is *bit-identity* of the produced schedules, because
 //!    both paths fold the same incremental distribution and the cache
 //!    may only skip work, never change a value.
@@ -22,7 +24,7 @@
 use proptest::prelude::*;
 
 use tcms::fds::dist::DistributionSet;
-use tcms::fds::{ClassicEvaluator, FdsConfig, ForceEvaluator};
+use tcms::fds::{ClassicEvaluator, FdsConfig, ForceEvaluator, IfdsEngine};
 use tcms::ir::generators::{random_system, RandomSystemConfig};
 use tcms::ir::{FrameTable, OpId, System, TimeFrame};
 use tcms::modulo::{ModuloEvaluator, ModuloScheduler, SharingSpec};
@@ -61,10 +63,21 @@ fn random_shrink(
     } else {
         TimeFrame::new(fr.asap, fr.alap - 1)
     };
-    let block = system.op(o).block();
+    solved_changes(system, frames, o, nf)
+}
+
+/// The frames that change when `op` is pinned to `pin` and its block is
+/// re-solved from scratch with `constrained_frames`, in its output order.
+fn solved_changes(
+    system: &System,
+    frames: &FrameTable,
+    op: OpId,
+    pin: TimeFrame,
+) -> Vec<(OpId, TimeFrame)> {
+    let block = system.op(op).block();
     let solved = tcms::ir::frames::constrained_frames(system, block, |q| {
-        if q == o {
-            nf
+        if q == op {
+            pin
         } else {
             frames.get(q)
         }
@@ -234,7 +247,48 @@ proptest! {
         }
     }
 
-    /// Layer 3: the cached scheduler run is bit-identical to the
+    /// Layer 3: cone-local pin propagation equals the full-block re-solve
+    /// element for element, in the same order, for every unfixed op of a
+    /// random reachable frame table and ASAP, ALAP and interior pins.
+    #[test]
+    fn cone_implied_changes_match_full_resolve(
+        seed in 0u64..500,
+        shrinks in prop::collection::vec((0usize..64, 0u32..4), 0..16),
+        mid in 0u32..16,
+    ) {
+        let (system, _) = random_system(&small_config(), seed).unwrap();
+        let mut engine = IfdsEngine::new(&system, system.block_ids().collect());
+        for (op_pick, side) in shrinks {
+            let changed = random_shrink(&system, engine.frames(), op_pick, side);
+            engine.apply(&changed);
+        }
+        for o in system.op_ids() {
+            let fr = engine.frames().get(o);
+            if fr.is_fixed() {
+                continue;
+            }
+            let t = fr.asap + mid % fr.width();
+            let mut pins = vec![
+                TimeFrame::new(fr.asap, fr.asap),
+                TimeFrame::new(fr.alap, fr.alap),
+                TimeFrame::new(t, t),
+                TimeFrame::new(fr.asap + 1, fr.alap),
+                TimeFrame::new(fr.asap, fr.alap - 1),
+            ];
+            if fr.width() > 2 {
+                pins.push(TimeFrame::new(fr.asap + 1, fr.alap - 1));
+            }
+            for pin in pins {
+                prop_assert_eq!(
+                    engine.implied_changes(o, pin),
+                    solved_changes(&system, engine.frames(), o, pin),
+                    "seed {}: op {:?} pinned to {:?}", seed, o, pin
+                );
+            }
+        }
+    }
+
+    /// Layer 4: the cached scheduler run is bit-identical to the
     /// cache-free reference run — same start times, same iteration
     /// count, same allocation — on random multi-process systems.
     #[test]
