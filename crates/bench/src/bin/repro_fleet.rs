@@ -15,6 +15,9 @@
 //!    stream replayed round-robin against 1-, 2- and 3-node fleets
 //!    performs exactly `unique designs` scheduler runs fleet-wide at
 //!    every size: consistent-hash routing makes N caches behave as one.
+//!    Each row also records the wall time, the client-side p50/p99 of
+//!    the requests that took a proxy hop, and the slowest node's
+//!    `shutdown()` → `wait()` time.
 //! 3. **Chaos rejoin converges** — one node is killed mid-run while a
 //!    fault-injecting proxy mangles the traffic to a survivor; every
 //!    response that does arrive is still bit-identical to the one-shot
@@ -29,7 +32,7 @@ use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::time::Instant;
 
-use tcms_bench::workload::{draw, make_design, zipf_cdf};
+use tcms_bench::workload::{draw, make_design, percentile, zipf_cdf};
 use tcms_obs::json::{self, JsonValue};
 use tcms_obs::NoopRecorder;
 use tcms_serve::fleet::sync;
@@ -256,16 +259,29 @@ fn phase_hit_rate_vs_nodes(
         // identical text — dedup on the text, which is what the
         // content-addressed cache sees.
         let mut unique = std::collections::BTreeSet::new();
+        // Client-side latency of every request the receiving node
+        // proxied (its `proxied` counter moves before it answers).
+        let mut proxied_ms = Vec::new();
         let started = Instant::now();
         for r in 0..requests {
             let d = draw(&cdf, &mut state);
             unique.insert(pool[d].as_str());
-            let resp = clients[r % nodes]
+            let node = r % nodes;
+            let before = servers[node].counter("serve.fleet.proxied");
+            let sent = Instant::now();
+            let resp = clients[node]
                 .request(&request_line(&format!("r{r}"), &pool[d]))
                 .expect("response");
+            let ms = sent.elapsed().as_secs_f64() * 1000.0;
             assert!(resp.is_ok(), "request {r}: {:?}", resp.error);
+            if servers[node].counter("serve.fleet.proxied") > before {
+                proxied_ms.push(ms);
+            }
         }
         let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
+        proxied_ms.sort_by(f64::total_cmp);
+        let hop = |q: f64| (!proxied_ms.is_empty()).then(|| percentile(&proxied_ms, q));
+        let (hop_p50, hop_p99) = (hop(0.50), hop(0.99));
         let runs: u64 = servers
             .iter()
             .map(|s| s.counter("serve.scheduler.runs"))
@@ -297,12 +313,28 @@ fn phase_hit_rate_vs_nodes(
         row.insert("proxied".to_owned(), count(proxied));
         row.insert("hit_rate".to_owned(), JsonValue::Number(hit_rate));
         row.insert("wall_ms".to_owned(), JsonValue::Number(wall_ms));
-        rows.push(JsonValue::Object(row));
+        for (field, value) in [("proxied_p50_ms", hop_p50), ("proxied_p99_ms", hop_p99)] {
+            row.insert(
+                field.to_owned(),
+                value.map_or(JsonValue::Null, JsonValue::Number),
+            );
+        }
         drop(clients.drain(..));
+        let mut shutdown_ms = 0.0f64;
         for server in servers {
+            let stopping = Instant::now();
             server.shutdown();
             server.wait().expect("clean shutdown");
+            shutdown_ms = shutdown_ms.max(stopping.elapsed().as_secs_f64() * 1000.0);
         }
+        row.insert("shutdown_ms".to_owned(), JsonValue::Number(shutdown_ms));
+        let ms = |v: Option<f64>| v.map_or_else(|| "-".to_owned(), |v| format!("{v:.2}"));
+        println!(
+            "         wall {wall_ms:.1} ms, proxied hop p50 {} / p99 {} ms, shutdown {shutdown_ms:.1} ms",
+            ms(hop_p50),
+            ms(hop_p99)
+        );
+        rows.push(JsonValue::Object(row));
     }
     doc.insert("hit_rate_vs_nodes".to_owned(), JsonValue::Array(rows));
 }

@@ -25,6 +25,8 @@ use std::time::Duration;
 
 use tcms_sim::{ChunkFault, NetFaultPlan, NetFaultStream};
 
+use crate::server::{spawn_accept_loop, wake};
+
 /// Counters of everything a [`ChaosProxy`] did (point-in-time snapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosStats {
@@ -93,36 +95,24 @@ impl ChaosProxy {
     pub fn start(upstream: SocketAddr, plan: NetFaultPlan) -> std::io::Result<ChaosProxy> {
         plan.validate();
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let counters = Arc::new(Counters::default());
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let counters = Arc::clone(&counters);
+            let flag = Arc::clone(&stop);
             let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("tcms-chaos-accept".into())
-                .spawn(move || {
-                    let mut conn_id = 0u64;
-                    loop {
-                        if stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        match listener.accept() {
-                            Ok((client, _)) => {
-                                counters.connections.fetch_add(1, Ordering::Relaxed);
-                                let id = conn_id;
-                                conn_id += 1;
-                                spawn_connection(client, upstream, &plan, id, &counters, &stop);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                        }
-                    }
-                })
-                .map_err(|e| std::io::Error::other(format!("spawn chaos accept: {e}")))?
+            let mut conn_id = 0u64;
+            spawn_accept_loop(
+                listener,
+                "tcms-chaos-accept".into(),
+                move || flag.load(Ordering::SeqCst),
+                move |client| {
+                    counters.connections.fetch_add(1, Ordering::Relaxed);
+                    spawn_connection(client, upstream, &plan, conn_id, &counters, &stop);
+                    conn_id += 1;
+                },
+            )?
         };
         Ok(ChaosProxy {
             addr,
@@ -149,6 +139,7 @@ impl ChaosProxy {
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            wake(self.addr);
             let _ = h.join();
         }
     }

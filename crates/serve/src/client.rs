@@ -205,6 +205,11 @@ impl Client {
         self.writer.set_read_timeout(timeout)
     }
 
+    /// Sets a send timeout (None = block forever).
+    pub(crate) fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.writer.set_write_timeout(timeout)
+    }
+
     /// Sends one raw request line (pipelined; pair with [`Client::recv`]).
     ///
     /// # Errors
@@ -216,28 +221,37 @@ impl Client {
         self.writer.flush()
     }
 
-    /// Receives the next response line.
+    /// Receives the next non-blank response line verbatim, without its
+    /// line terminator — what a fleet proxy relays to its own client.
     ///
     /// # Errors
     ///
-    /// Fails on a closed connection or an unparseable response.
-    pub fn recv(&mut self) -> std::io::Result<Response> {
+    /// Fails on a closed connection.
+    pub fn recv_line(&mut self) -> std::io::Result<String> {
         let mut line = String::new();
         loop {
             line.clear();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
+            if self.reader.read_line(&mut line)? == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "daemon closed the connection",
                 ));
             }
-            if line.trim().is_empty() {
-                continue;
+            if !line.trim().is_empty() {
+                line.truncate(line.trim_end_matches(['\r', '\n']).len());
+                return Ok(line);
             }
-            return parse_response(line.trim_end())
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e));
         }
+    }
+
+    /// Receives and parses the next response line.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a closed connection or an unparseable response.
+    pub fn recv(&mut self) -> std::io::Result<Response> {
+        parse_response(self.recv_line()?.trim_end())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Sends one request and waits for its response.

@@ -164,6 +164,8 @@ pub struct JournalLoadReport {
 
 enum Msg {
     Record(JournalEntry),
+    /// Answered once every message before it has been handled.
+    Barrier(SyncSender<()>),
     Shutdown,
 }
 
@@ -339,6 +341,16 @@ impl JournalWriter {
         }
     }
 
+    /// Blocks until the writer has handled every record accepted before
+    /// the call, rotations included, so [`JournalWriter::stats`] counts
+    /// their effects too. Returns at once after [`JournalWriter::close`].
+    pub fn settle(&self) {
+        let (done, settled) = sync_channel(1);
+        if self.tx.send(Msg::Barrier(done)).is_ok() {
+            let _ = settled.recv();
+        }
+    }
+
     /// Point-in-time accepted/dropped counters.
     #[must_use]
     pub fn stats(&self) -> JournalStats {
@@ -383,7 +395,15 @@ fn writer_loop(
 ) {
     let start = Instant::now();
     let mut out = io::BufWriter::new(file);
-    while let Ok(Msg::Record(entry)) = rx.recv() {
+    loop {
+        let entry = match rx.recv() {
+            Ok(Msg::Record(entry)) => entry,
+            Ok(Msg::Barrier(done)) => {
+                let _ = done.send(());
+                continue;
+            }
+            Ok(Msg::Shutdown) | Err(_) => break,
+        };
         let ts_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let line = record_line(&entry, next_seq, ts_us, ctx.dropped.load(Ordering::Relaxed));
         next_seq += 1;
@@ -917,6 +937,21 @@ mod tests {
             (0..12).collect::<Vec<u64>>(),
             "sequence runs unbroken across segments"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn settle_waits_for_pending_rotations() {
+        let dir = temp_dir("settle");
+        // A 1-byte threshold rotates after every record.
+        let writer = JournalWriter::open_with(&dir, 64, 1).unwrap();
+        for _ in 0..3 {
+            writer.record(entry("schedule", "ok"));
+        }
+        writer.settle();
+        assert_eq!(writer.stats().rotated, 3, "every rotation is counted");
+        writer.close();
+        writer.settle(); // returns at once on a closed writer
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,23 +1,39 @@
-//! The daemon: TCP accept loop, bounded job queue, worker pool.
+//! The daemon: one connection core, a bounded job queue, a worker pool.
 //!
 //! # Request lifecycle
 //!
-//! 1. A connection thread reads one NDJSON line and parses it.
-//!    Control actions (`ping`, `stats`, `shutdown`) are answered inline;
-//!    work actions (`schedule`, `simulate`) are pushed onto the bounded
-//!    job queue.
-//! 2. If the queue is full the request is **shed immediately** with a
-//!    typed `overloaded` (429) error — backpressure is explicit, the
-//!    daemon never buffers unboundedly.
-//! 3. A worker pops the job. If its deadline already expired in the
-//!    queue it answers `deadline` (408) without scheduling; otherwise
-//!    the remaining time becomes the scheduler's [`RunBudget`]
-//!    wall-clock watchdog, so a deadline also bounds the IFDS run
-//!    itself.
-//! 4. The worker runs the shared [`pipeline`](crate::pipeline) —
-//!    through the content-addressed cache — and writes the response
-//!    line back on the requesting connection. Responses arrive in
-//!    completion order; the echoed `id` correlates them.
+//! 1. **Accept.** Every listener (NDJSON, and HTTP when enabled) runs
+//!    the same blocking accept loop, one detached thread per
+//!    connection. Nothing polls: shutdown sets the flag and then
+//!    self-connects to each listener, so a parked `accept` returns at
+//!    once and the loop exits.
+//! 2. **Read.** Both front-ends read through one framed reader — an
+//!    NDJSON line, or an HTTP head and body — which caps every frame at
+//!    `max_request_bytes` (a typed `too-large` 413, then close) and
+//!    turns invalid UTF-8 into a typed `bad-request`. Its 100 ms read
+//!    timeout is the daemon's only poll: it is how a detached
+//!    connection thread notices shutdown.
+//! 3. **Admit.** Both front-ends hand the request line to one admission
+//!    path: parse, count, answer control and sync actions (`ping`,
+//!    `stats`, `shutdown`, `sync_*`) inline, else push the work onto the
+//!    bounded queue. A full queue **sheds immediately** with a typed
+//!    `overloaded` (429) error — backpressure is explicit, the daemon
+//!    never buffers unboundedly. HTTP adds only its route table, the
+//!    `/schedule` default action and the status mapping.
+//! 4. **Execute.** A worker pops the job. If its deadline already
+//!    expired in the queue it answers `deadline` (408) without
+//!    scheduling; otherwise the remaining time becomes the scheduler's
+//!    [`RunBudget`] wall-clock watchdog, so a deadline also bounds the
+//!    IFDS run itself. The worker runs the shared
+//!    [`pipeline`](crate::pipeline) through the content-addressed cache
+//!    and sends the response line back through the request's responder.
+//!    NDJSON responses arrive in completion order; the echoed `id`
+//!    correlates them.
+//!
+//! Every failure a queued request can meet — expired in the queue, an
+//! execute error, a failed proxy hop, a refused enqueue — is counted,
+//! journaled and answered by one helper, so the journal sees them all
+//! the same way.
 //!
 //! Scheduling work itself fans out onto the vendored rayon pool, which
 //! is safe to enter from several worker threads at once (a contended
@@ -29,16 +45,16 @@
 //! With a [`FleetConfig`], this daemon becomes one node of a
 //! distributed fleet (see [`crate::fleet`]): work requests are routed
 //! by consistent hash of their content address (non-owners proxy the
-//! raw line to the owner and relay the response verbatim, so any node
-//! answers byte-identically), fresh results are pushed to the key's
-//! replica set, and a background anti-entropy loop keeps peer caches
-//! convergent. An optional HTTP/1.1 listener (`http_listen`) serves
-//! the same objects over `POST /schedule`, `GET /stats` and
-//! `GET /healthz`.
+//! raw line to the owner over a [`Client`] and relay the response
+//! verbatim, so any node answers byte-identically), fresh results are
+//! pushed to the key's replica set, and a background anti-entropy loop
+//! keeps peer caches convergent. An optional HTTP/1.1 listener
+//! (`http_listen`) serves the same objects over `POST /schedule`,
+//! `GET /stats` and `GET /healthz`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs as _};
+use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -50,6 +66,7 @@ use tcms_obs::json::JsonValue;
 use tcms_obs::{MetricsRegistry, NoopRecorder};
 
 use crate::cache::{CacheKey, Disposition, SchedCache};
+use crate::client::Client;
 use crate::error::ServeError;
 use crate::fleet::{http, sync, Fleet, FleetConfig, RouteMode};
 use crate::journal::{JournalEntry, JournalStats, JournalWriter, DEFAULT_JOURNAL_BUFFER};
@@ -59,7 +76,7 @@ use crate::pipeline::{
 };
 use crate::protocol::{
     error_line, output_body, parse_request, parse_response, success_line, Action, Request,
-    RequestId,
+    RequestId, Response,
 };
 
 /// Daemon configuration.
@@ -143,12 +160,13 @@ struct Job {
     raw: Option<String>,
 }
 
-/// Where a finished job's response line goes: straight onto an NDJSON
-/// connection, or through a channel to a caller waiting synchronously
-/// (the HTTP front-end).
+/// Where a request's response line goes: straight onto the write half
+/// of an NDJSON connection (shared by its in-flight jobs), or through a
+/// channel to an HTTP thread waiting synchronously.
+#[derive(Clone)]
 enum Responder {
     /// The NDJSON connection the request arrived on.
-    Conn(Arc<ConnWriter>),
+    Conn(Arc<Mutex<TcpStream>>),
     /// A rendezvous channel whose receiver blocks for the line.
     Channel(mpsc::SyncSender<String>),
 }
@@ -158,27 +176,16 @@ impl Responder {
     /// vanished client must not take a worker down.
     fn send(&self, line: &str) {
         match self {
-            Responder::Conn(conn) => conn.send(line),
+            Responder::Conn(stream) => {
+                let mut stream = stream.lock().unwrap_or_else(PoisonError::into_inner);
+                let _ = stream.write_all(line.as_bytes());
+                let _ = stream.write_all(b"\n");
+                let _ = stream.flush();
+            }
             Responder::Channel(tx) => {
                 let _ = tx.try_send(line.to_owned());
             }
         }
-    }
-}
-
-/// The write half of a connection; workers share it via `Arc`.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
-}
-
-impl ConnWriter {
-    /// Writes one response line. Errors are swallowed: a vanished client
-    /// must not take a worker down.
-    fn send(&self, line: &str) {
-        let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.write_all(b"\n");
-        let _ = stream.flush();
     }
 }
 
@@ -196,6 +203,12 @@ struct Shared {
     /// When the last fully successful anti-entropy exchange finished
     /// (drives the `sync.lag_ms` stats field).
     last_sync: Mutex<Option<Instant>>,
+    /// Every bound listener, dialled once by [`Shared::begin_shutdown`]
+    /// to wake its blocking accept.
+    listen_addrs: Vec<SocketAddr>,
+    /// The anti-entropy loop waits out its interval on this channel;
+    /// dropping the sender ends the wait at once.
+    sync_stop: Mutex<Option<mpsc::Sender<()>>>,
 }
 
 impl Shared {
@@ -211,26 +224,59 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Pushes a job, shedding when the bounded queue is full.
-    fn enqueue(&self, job: Job) -> Result<(), ServeError> {
-        if self.shutting_down() {
-            return Err(ServeError::ShuttingDown);
-        }
-        let depth = {
-            let mut queue = self.lock_queue();
-            if queue.len() >= self.config.queue_capacity {
-                return Err(ServeError::Overloaded {
-                    capacity: self.config.queue_capacity,
-                });
-            }
-            queue.push_back(job);
-            queue.len()
+    /// Starts shutdown: sets the flag, wakes every idle worker and the
+    /// anti-entropy loop, and self-connects to every listener so each
+    /// blocking accept returns and its loop exits. Idempotent.
+    fn begin_shutdown(&self) {
+        // Set under the queue lock: a worker checks the flag under that
+        // lock before it waits, so it cannot miss the notify below.
+        let already = {
+            let _queue = self.lock_queue();
+            self.shutdown.swap(true, Ordering::SeqCst)
         };
-        self.queue_cv.notify_one();
-        #[allow(clippy::cast_precision_loss)]
-        self.lock_metrics()
-            .gauge_set("serve.queue.depth", depth as f64);
-        Ok(())
+        if already {
+            return;
+        }
+        self.queue_cv.notify_all();
+        drop(
+            self.sync_stop
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take(),
+        );
+        for addr in &self.listen_addrs {
+            wake(*addr);
+        }
+    }
+
+    /// Pushes a job, or refuses it — shed when the bounded queue is
+    /// full, or shutting down — and answers it with the typed reason.
+    fn enqueue(&self, job: Job) {
+        let mut queue = self.lock_queue();
+        // Checked under the lock: after shutdown begins, idle workers may
+        // already have exited, and a job queued then would never be
+        // answered.
+        let refused = if self.shutting_down() {
+            ServeError::ShuttingDown
+        } else if queue.len() >= self.config.queue_capacity {
+            ServeError::Overloaded {
+                capacity: self.config.queue_capacity,
+            }
+        } else {
+            queue.push_back(job);
+            let depth = queue.len();
+            drop(queue);
+            self.queue_cv.notify_one();
+            #[allow(clippy::cast_precision_loss)]
+            self.lock_metrics()
+                .gauge_set("serve.queue.depth", depth as f64);
+            return;
+        };
+        drop(queue);
+        if matches!(refused, ServeError::Overloaded { .. }) {
+            self.lock_metrics().counter_add("serve.shed", 1);
+        }
+        self.fail(job, &refused, None, 0, 0, 0);
     }
 
     /// Pops the next job, blocking until one arrives or shutdown drains
@@ -251,20 +297,54 @@ impl Shared {
             }
             queue = self
                 .queue_cv
-                .wait_timeout(queue, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Hands one finished (or shed) request to the journal writer, when
-    /// journaling is on. `raw` is populated by the connection thread only
-    /// in that case, so both `None`s mean "capture disabled".
+    /// journaling is on. `admit` keeps `raw` only when journaling or in a
+    /// fleet, so either `None` means "capture disabled".
     fn journal_record(&self, raw: Option<String>, entry: impl FnOnce(String) -> JournalEntry) {
         let (Some(journal), Some(request)) = (&self.journal, raw) else {
             return;
         };
         journal.record(entry(request));
+    }
+
+    /// Counts one typed error and sends it.
+    fn reject(&self, to: &Responder, id: &RequestId, err: &ServeError) {
+        self.lock_metrics().counter_add("serve.errors", 1);
+        to.send(&error_line(id, err));
+    }
+
+    /// Answers a job with a typed error. Every way a queued request can
+    /// fail ends here: its deadline expired in the queue, it failed to
+    /// execute, its proxy hop failed, or the queue refused it. Each is
+    /// journaled before the response goes out: a client that has seen
+    /// the response may read `journal_stats` at once, and a replay that
+    /// omitted failures would understate the offered load.
+    fn fail(
+        &self,
+        job: Job,
+        err: &ServeError,
+        key: Option<CacheKey>,
+        queue_us: u64,
+        exec_us: u64,
+        total_us: u64,
+    ) {
+        self.journal_record(job.raw, |request| JournalEntry {
+            action: action_label(&job.action),
+            key,
+            disposition: None,
+            outcome: err.class(),
+            code: err.code(),
+            queue_us,
+            exec_us,
+            total_us,
+            request,
+        });
+        self.reject(&job.conn, &job.id, err);
     }
 
     /// Runs one job end to end and writes its response.
@@ -280,23 +360,7 @@ impl Shared {
                 let Some(remaining) = deadline.checked_sub(waited) else {
                     let waited_ms = u64::try_from(waited.as_millis()).unwrap_or(u64::MAX);
                     let err = ServeError::DeadlineExpired { waited_ms };
-                    self.lock_metrics().counter_add("serve.errors", 1);
-                    // Journal before responding: once the client sees the
-                    // response it may read `journal_stats`, which must
-                    // already account for this request.
-                    self.journal_record(job.raw, |request| JournalEntry {
-                        action,
-                        key: None,
-                        disposition: None,
-                        outcome: err.class(),
-                        code: err.code(),
-                        queue_us,
-                        exec_us: 0,
-                        total_us: queue_us,
-                        request,
-                    });
-                    job.conn.send(&error_line(&job.id, &err));
-                    return;
+                    return self.fail(job, &err, None, queue_us, 0, queue_us);
                 };
                 RunBudget {
                     wall_deadline: Some(remaining),
@@ -323,10 +387,9 @@ impl Shared {
         // Fleet routing: a non-owner in proxy mode forwards the raw line
         // to the key's owner and relays the answer verbatim, so the whole
         // fleet shares one logical cache with byte-identical responses.
-        if let Some(line) = self.route_remote(&job, action, queue_us, budget.wall_deadline) {
-            job.conn.send(&line);
+        let Some(job) = self.route_remote(job, action, queue_us, budget.wall_deadline) else {
             return;
-        }
+        };
         let inflight = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         #[allow(clippy::cast_precision_loss)]
         self.lock_metrics()
@@ -402,21 +465,7 @@ impl Shared {
                     }
                 }
             }
-            Err(e) => {
-                self.lock_metrics().counter_add("serve.errors", 1);
-                self.journal_record(job.raw, |request| JournalEntry {
-                    action,
-                    key: None,
-                    disposition: None,
-                    outcome: e.class(),
-                    code: e.code(),
-                    queue_us,
-                    exec_us,
-                    total_us,
-                    request,
-                });
-                job.conn.send(&error_line(&job.id, &e));
-            }
+            Err(e) => self.fail(job, &e, None, queue_us, exec_us, total_us),
         }
     }
 
@@ -449,26 +498,30 @@ impl Shared {
     }
 
     /// Proxies a job to its owner when this node is not in the key's
-    /// replica set. Returns the response line to relay (verbatim owner
-    /// bytes, or a typed `peer-unavailable` error); `None` means
-    /// "execute locally" — standalone daemon, local route mode, owned
-    /// key, unroutable request, or a dead owner (health gates effort,
-    /// never placement).
+    /// replica set, and answers it: the owner's bytes verbatim, or a
+    /// typed `peer-unavailable` error. Hands the job back to execute
+    /// locally instead — standalone daemon, local route mode, owned key,
+    /// unroutable request, or a dead owner (health gates effort, never
+    /// placement).
     fn route_remote(
         &self,
-        job: &Job,
+        job: Job,
         action: &'static str,
         queue_us: u64,
         remaining: Option<Duration>,
-    ) -> Option<String> {
-        let fleet = self.fleet.as_ref()?;
-        if fleet.config.route != RouteMode::Proxy {
-            return None;
-        }
-        let raw = job.raw.as_deref()?;
-        let key = self.work_cache_key(&job.action)?;
+    ) -> Option<Job> {
+        let Some(fleet) = self
+            .fleet
+            .as_ref()
+            .filter(|f| f.config.route == RouteMode::Proxy)
+        else {
+            return Some(job);
+        };
+        let (Some(raw), Some(key)) = (job.raw.as_deref(), self.work_cache_key(&job.action)) else {
+            return Some(job);
+        };
         if fleet.is_local(&key) {
-            return None;
+            return Some(job);
         }
         let owner = fleet.owner(&key).to_owned();
         if !fleet.membership.is_alive(&owner) {
@@ -477,11 +530,15 @@ impl Shared {
             // anti-entropy will reconcile.
             self.lock_metrics()
                 .counter_add("serve.fleet.local_fallback", 1);
-            return None;
+            return Some(job);
         }
         let read_timeout = remaining.map_or(PROXY_READ_TIMEOUT, |r| r.min(PROXY_READ_TIMEOUT));
         let start = Instant::now();
-        match peer_request(&owner, raw, read_timeout) {
+        let relayed = dial_peer(&owner, read_timeout).and_then(|mut peer| {
+            peer.send_line(raw)?;
+            peer.recv_line()
+        });
+        match relayed {
             Ok(line) => {
                 let rtt = dur_us(start.elapsed());
                 fleet.membership.record_ok(&owner, rtt);
@@ -491,7 +548,7 @@ impl Shared {
                     #[allow(clippy::cast_precision_loss)]
                     m.histogram_record("serve.fleet.peer.rtt_us", rtt as f64);
                 }
-                self.journal_record(job.raw.clone(), |request| JournalEntry {
+                self.journal_record(job.raw, |request| JournalEntry {
                     action,
                     key: Some(key),
                     disposition: None,
@@ -502,30 +559,19 @@ impl Shared {
                     total_us: dur_us(job.enqueued.elapsed()),
                     request,
                 });
-                Some(line)
+                job.conn.send(&line);
             }
             Err(_) => {
                 fleet.membership.record_failure(&owner);
+                self.lock_metrics()
+                    .counter_add("serve.fleet.proxy_failures", 1);
+                let exec_us = dur_us(start.elapsed());
+                let total_us = dur_us(job.enqueued.elapsed());
                 let err = ServeError::PeerUnavailable { peer: owner };
-                {
-                    let mut m = self.lock_metrics();
-                    m.counter_add("serve.errors", 1);
-                    m.counter_add("serve.fleet.proxy_failures", 1);
-                }
-                self.journal_record(job.raw.clone(), |request| JournalEntry {
-                    action,
-                    key: Some(key),
-                    disposition: None,
-                    outcome: err.class(),
-                    code: err.code(),
-                    queue_us,
-                    exec_us: dur_us(start.elapsed()),
-                    total_us: dur_us(job.enqueued.elapsed()),
-                    request,
-                });
-                Some(error_line(&job.id, &err))
+                self.fail(job, &err, Some(key), queue_us, exec_us, total_us);
             }
         }
+        None
     }
 
     /// Pushes one freshly computed entry to the key's other replicas.
@@ -542,7 +588,7 @@ impl Shared {
                 continue; // sync catches the peer up when it rejoins
             }
             let start = Instant::now();
-            match peer_request(peer, &line, SYNC_READ_TIMEOUT) {
+            match dial_peer(peer, SYNC_READ_TIMEOUT).and_then(|mut c| c.request(&line)) {
                 Ok(_) => {
                     fleet.membership.record_ok(peer, dur_us(start.elapsed()));
                     self.lock_metrics().counter_add("serve.fleet.pushed", 1);
@@ -559,13 +605,13 @@ impl Shared {
     /// One anti-entropy exchange with one peer: digest comparison, then
     /// a pull of every diverging shard over the same connection.
     fn sync_with_peer(&self, peer: &str) -> std::io::Result<sync::SyncOutcome> {
-        let mut conn = PeerConn::connect(peer, PEER_CONNECT_TIMEOUT, SYNC_READ_TIMEOUT)?;
-        let line = conn.request(&sync::digest_request_line("sync-digest"))?;
-        let theirs = sync::parse_digests(&peer_body(&line)?)
+        let mut conn = dial_peer(peer, SYNC_READ_TIMEOUT)?;
+        let digests = conn.request(&sync::digest_request_line("sync-digest"))?;
+        let theirs = sync::parse_digests(&peer_body(digests)?)
             .ok_or_else(|| invalid_peer("malformed digest response"))?;
         sync::pull_round(&self.cache, &theirs, |shard| {
-            let line = conn.request(&sync::pull_shard_request_line("sync-pull", shard))?;
-            let (entries, rejected) = sync::parse_entries(&peer_body(&line)?)
+            let pulled = conn.request(&sync::pull_shard_request_line("sync-pull", shard))?;
+            let (entries, rejected) = sync::parse_entries(&peer_body(pulled)?)
                 .ok_or_else(|| invalid_peer("malformed entries response"))?;
             if rejected > 0 {
                 self.lock_metrics()
@@ -786,71 +832,22 @@ const SYNC_READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// tightens it further).
 const PROXY_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A short-lived NDJSON connection to a fleet peer.
-struct PeerConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl PeerConn {
-    fn connect(addr: &str, connect: Duration, read: Duration) -> std::io::Result<PeerConn> {
-        let mut last = None;
-        let mut stream = None;
-        for sock in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&sock, connect) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        let stream = stream.ok_or_else(|| {
-            last.unwrap_or_else(|| invalid_peer("peer address resolved to nothing"))
-        })?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(read))?;
-        stream.set_write_timeout(Some(read))?;
-        Ok(PeerConn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    /// One request/response exchange. Peers answer in order on a
-    /// connection, so a plain `read_line` pairs correctly.
-    fn request(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut out = String::new();
-        if self.reader.read_line(&mut out)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed the connection",
-            ));
-        }
-        while out.ends_with('\n') || out.ends_with('\r') {
-            out.pop();
-        }
-        Ok(out)
-    }
-}
-
-/// One-shot request to a peer on a fresh connection.
-fn peer_request(addr: &str, line: &str, read: Duration) -> std::io::Result<String> {
-    PeerConn::connect(addr, PEER_CONNECT_TIMEOUT, read)?.request(line)
+/// Dials a fleet peer: the peer connect timeout, and `io` as both the
+/// read and the write timeout.
+fn dial_peer(addr: &str, io: Duration) -> std::io::Result<Client> {
+    let peer = Client::connect_with(addr, Some(PEER_CONNECT_TIMEOUT), Some(io))?;
+    peer.set_write_timeout(Some(io))?;
+    Ok(peer)
 }
 
 fn invalid_peer(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned())
 }
 
-/// Parses a peer's response line and extracts its body, converting
-/// protocol-level failures into I/O errors (the sync loop treats every
-/// failure mode uniformly: count it, mark the peer, move on).
-fn peer_body(line: &str) -> std::io::Result<JsonValue> {
-    let resp = parse_response(line).map_err(|e| invalid_peer(&e))?;
+/// Extracts a peer response's body, converting a typed error into an
+/// I/O error (the sync loop treats every failure mode uniformly: count
+/// it, mark the peer, move on).
+fn peer_body(resp: Response) -> std::io::Result<JsonValue> {
     if let Some((class, code, msg)) = resp.error {
         return Err(invalid_peer(&format!("peer error {class} ({code}): {msg}")));
     }
@@ -925,11 +922,8 @@ fn inline_response(shared: &Shared, id: &RequestId, action: Action) -> Result<St
             Ok(success_line(id, body))
         }
         Action::Stats => Ok(success_line(id, shared.stats_body())),
-        Action::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue_cv.notify_all();
-            Ok(success_line(id, BTreeMap::new()))
-        }
+        // `admit` begins the shutdown once this acknowledgement is sent.
+        Action::Shutdown => Ok(success_line(id, BTreeMap::new())),
         Action::SyncDigest => Ok(success_line(
             id,
             sync::digest_body(&sync::digests(&shared.cache)),
@@ -974,220 +968,201 @@ fn inline_response(shared: &Shared, id: &RequestId, action: Action) -> Result<St
     }
 }
 
-/// Serves one connection: read lines, answer control actions inline,
-/// queue work actions.
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    // The read timeout doubles as the shutdown poll interval. Nagle is
-    // off: a one-line response must not wait out the client's delayed
-    // ACK (a ~40 ms floor on every request without this).
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let writer = Arc::new(ConnWriter {
-        stream: Mutex::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        }),
-    });
-    let mut reader = BufReader::new(stream);
-    // Byte-level line assembly instead of `read_line`: the accumulator
-    // is capped at `max_request_bytes` (a longer line is a typed 413 and
-    // the connection closes), partial reads across timeout polls are
-    // never lost, and invalid UTF-8 is a typed error, not a dead
-    // connection.
-    let cap = shared.config.max_request_bytes.max(1);
-    let mut line: Vec<u8> = Vec::new();
+/// How long a connection read blocks before it re-checks the shutdown
+/// flag: the daemon's only poll (see [`FrameReader::fill`]).
+const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
+
+/// Why a [`FrameReader`] read produced no frame.
+enum ReadError {
+    /// EOF, an I/O error, or shutdown: close without answering.
+    Closed,
+    /// Answer with this typed error; `close` when no trustworthy frame
+    /// boundary follows it.
+    Reject { error: ServeError, close: bool },
+}
+
+/// The one framed reader under both front-ends: NDJSON lines, HTTP
+/// heads and bodies. Every frame is capped at `max_request_bytes` (a
+/// longer one is a typed 413 and the connection closes: discarding up
+/// to the next boundary would itself be unbounded work on
+/// attacker-controlled input), partial reads across timeout polls are
+/// never lost, and invalid UTF-8 is a typed error, not a dead
+/// connection.
+struct FrameReader<'a> {
+    inner: BufReader<TcpStream>,
+    cap: usize,
+    shutdown: &'a AtomicBool,
+}
+
+impl<'a> FrameReader<'a> {
+    /// Splits an accepted socket into its reader and its write half.
+    fn open(shared: &'a Shared, stream: TcpStream) -> Option<(FrameReader<'a>, TcpStream)> {
+        // Nagle is off: a one-line response must not wait out the
+        // client's delayed ACK (a ~40 ms floor on every request).
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(SHUTDOWN_POLL));
+        let writer = stream.try_clone().ok()?;
+        let reader = FrameReader {
+            inner: BufReader::new(stream),
+            cap: shared.config.max_request_bytes.max(1),
+            shutdown: &shared.shutdown,
+        };
+        Some((reader, writer))
+    }
+
+    /// The buffered bytes, refilled when empty. A read that times out
+    /// re-checks the shutdown flag and retries: this is how a detached
+    /// connection thread notices shutdown.
+    fn fill(&mut self) -> Result<&[u8], ReadError> {
+        loop {
+            match self.inner.fill_buf() {
+                Ok([]) => return Err(ReadError::Closed),
+                Ok(_) => break,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) && !self.shutdown.load(Ordering::SeqCst) => {}
+                Err(_) => return Err(ReadError::Closed),
+            }
+        }
+        Ok(self.inner.buffer())
+    }
+
+    /// Appends bytes through the next `\n` to `out`, which may hold at
+    /// most `cap` bytes besides that newline.
+    fn read_through_newline(&mut self, out: &mut Vec<u8>) -> Result<(), ReadError> {
+        let cap = self.cap;
+        loop {
+            let buf = self.fill()?;
+            let newline = buf.iter().position(|&b| b == b'\n');
+            let body = newline.unwrap_or(buf.len());
+            if out.len() + body > cap {
+                let error = ServeError::TooLarge { limit: cap };
+                return Err(ReadError::Reject { error, close: true });
+            }
+            let used = newline.map_or(body, |i| i + 1);
+            out.extend_from_slice(&buf[..used]);
+            self.inner.consume(used);
+            if newline.is_some() {
+                return Ok(());
+            }
+        }
+    }
+
+    /// One NDJSON request line, without its `\n`.
+    fn line(&mut self) -> Result<String, ReadError> {
+        let mut line = Vec::new();
+        self.read_through_newline(&mut line)?;
+        line.pop();
+        utf8(line, "line")
+    }
+
+    /// One HTTP request head, through the blank line that ends it; body
+    /// bytes stay buffered. A non-UTF-8 head comes back empty, which
+    /// the head parser rejects as malformed.
+    fn head(&mut self) -> Result<String, ReadError> {
+        let mut head = Vec::new();
+        while !(head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n")) {
+            self.read_through_newline(&mut head)?;
+        }
+        Ok(String::from_utf8(head).unwrap_or_default())
+    }
+
+    /// Exactly `len` HTTP body bytes.
+    fn body(&mut self, len: usize) -> Result<String, ReadError> {
+        if len > self.cap {
+            let error = ServeError::TooLarge { limit: self.cap };
+            return Err(ReadError::Reject { error, close: true });
+        }
+        let mut body = Vec::with_capacity(len);
+        while body.len() < len {
+            let buf = self.fill()?;
+            let take = buf.len().min(len - body.len());
+            body.extend_from_slice(&buf[..take]);
+            self.inner.consume(take);
+        }
+        utf8(body, "body")
+    }
+}
+
+/// Decodes a complete frame; its boundary is intact, so a decoding
+/// failure leaves the connection usable.
+fn utf8(frame: Vec<u8>, what: &str) -> Result<String, ReadError> {
+    String::from_utf8(frame).map_err(|_| ReadError::Reject {
+        error: ServeError::BadRequest(format!("request {what} is not valid UTF-8")),
+        close: false,
+    })
+}
+
+/// The one admission path both front-ends share: parse, count, answer
+/// control and sync actions inline, else queue the work. Exactly one
+/// response line reaches `to`: now, from [`Shared::enqueue`] when the
+/// queue refuses the job, or from a worker.
+fn admit(shared: &Shared, line: &str, to: Responder) {
+    let Request {
+        id,
+        action,
+        deadline_ms,
+    } = match parse_request(line) {
+        Ok(request) => request,
+        Err((id, e)) => return shared.reject(&to, &id, &e),
+    };
+    shared
+        .lock_metrics()
+        .counter_add(request_metric(&action), 1);
+    let shutdown = matches!(action, Action::Shutdown);
+    let work = match inline_response(shared, &id, action) {
+        Ok(resp) => {
+            to.send(&resp);
+            // Only after the acknowledgement: shutdown completes at once,
+            // and a daemon process exits as soon as `wait` returns.
+            if shutdown {
+                shared.begin_shutdown();
+            }
+            return;
+        }
+        Err(work) => work,
+    };
+    let job = Job {
+        id,
+        action: work,
+        enqueued: Instant::now(),
+        deadline: deadline_ms
+            .or(shared.config.default_deadline_ms)
+            .map(Duration::from_millis),
+        conn: to,
+        // Keep the raw bytes when journaling (the journal replays the
+        // request verbatim, not a re-serialisation) or in a fleet
+        // (proxying forwards the owner the same bytes).
+        raw: (shared.journal.is_some() || shared.fleet.is_some()).then(|| line.to_owned()),
+    };
+    shared.enqueue(job);
+}
+
+/// Serves one NDJSON connection: every non-blank line is a request.
+fn serve_connection(shared: &Shared, stream: TcpStream) {
+    let Some((mut reader, writer)) = FrameReader::open(shared, stream) else {
+        return;
+    };
+    let to = Responder::Conn(Arc::new(Mutex::new(writer)));
     loop {
-        let buf = match reader.fill_buf() {
-            Ok([]) => return, // client closed
-            Ok(buf) => buf,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
+        let line = match reader.line() {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => line,
+            Err(ReadError::Closed) => return,
+            Err(ReadError::Reject { error, close }) => {
+                shared.lock_metrics().counter_add("serve.requests", 1);
+                shared.reject(&to, &JsonValue::Null, &error);
+                if close {
                     return;
                 }
                 continue;
             }
-            Err(_) => return,
         };
-        let newline = buf.iter().position(|&b| b == b'\n');
-        let chunk = &buf[..newline.unwrap_or(buf.len())];
-        if line.len() + chunk.len() > cap {
-            // Reject and close: after an oversized line there is no
-            // trustworthy record boundary to resynchronise on, and
-            // discarding until the next newline would itself be
-            // unbounded work on attacker-controlled input.
-            shared.lock_metrics().counter_add("serve.requests", 1);
-            shared.lock_metrics().counter_add("serve.errors", 1);
-            writer.send(&error_line(
-                &JsonValue::Null,
-                &ServeError::TooLarge { limit: cap },
-            ));
-            return;
-        }
-        line.extend_from_slice(chunk);
-        let consumed = chunk.len() + usize::from(newline.is_some());
-        reader.consume(consumed);
-        if newline.is_none() {
-            continue; // line still incomplete; keep accumulating
-        }
-        let taken = std::mem::take(&mut line);
-        let Ok(text) = String::from_utf8(taken) else {
-            shared.lock_metrics().counter_add("serve.requests", 1);
-            shared.lock_metrics().counter_add("serve.errors", 1);
-            writer.send(&error_line(
-                &JsonValue::Null,
-                &ServeError::BadRequest("request line is not valid UTF-8".into()),
-            ));
-            continue;
-        };
-        if text.trim().is_empty() {
-            continue;
-        }
         shared.lock_metrics().counter_add("serve.requests", 1);
-        let request = match parse_request(text.trim_end()) {
-            Ok(r) => r,
-            Err((id, e)) => {
-                shared.lock_metrics().counter_add("serve.errors", 1);
-                writer.send(&error_line(&id, &e));
-                continue;
-            }
-        };
-        let Request {
-            id,
-            action,
-            deadline_ms,
-        } = request;
-        shared
-            .lock_metrics()
-            .counter_add(request_metric(&action), 1);
-        match inline_response(shared, &id, action) {
-            Ok(line) => writer.send(&line),
-            Err(work) => {
-                let deadline = deadline_ms
-                    .or(shared.config.default_deadline_ms)
-                    .map(Duration::from_millis);
-                // Keep the raw bytes when journaling (the journal replays
-                // the request verbatim, not a re-serialisation) or in a
-                // fleet (proxying forwards the owner the same bytes).
-                let raw = (shared.journal.is_some() || shared.fleet.is_some())
-                    .then(|| text.trim_end().to_owned());
-                let action_name = action_label(&work);
-                let job = Job {
-                    id: id.clone(),
-                    action: work,
-                    enqueued: Instant::now(),
-                    deadline,
-                    conn: Responder::Conn(Arc::clone(&writer)),
-                    raw: raw.clone(),
-                };
-                if let Err(e) = shared.enqueue(job) {
-                    shared.lock_metrics().counter_add("serve.errors", 1);
-                    if matches!(e, ServeError::Overloaded { .. }) {
-                        shared.lock_metrics().counter_add("serve.shed", 1);
-                    }
-                    // Shed requests are journaled too (and before the
-                    // response goes out): a replay that omits them would
-                    // understate the offered load.
-                    shared.journal_record(raw, |request| JournalEntry {
-                        action: action_name,
-                        key: None,
-                        disposition: None,
-                        outcome: e.class(),
-                        code: e.code(),
-                        queue_us: 0,
-                        exec_us: 0,
-                        total_us: 0,
-                        request,
-                    });
-                    writer.send(&error_line(&id, &e));
-                }
-            }
-        }
+        admit(shared, line.trim_end(), to.clone());
     }
-}
-
-/// Outcome of reading one HTTP request head off a connection.
-enum HeadRead {
-    /// The head text, up to and including the blank line.
-    Head(String),
-    /// Client went away (EOF, I/O error, or shutdown) — just close.
-    Closed,
-    /// The head outgrew `max_request_bytes`.
-    Oversized,
-}
-
-/// Reads bytes until the header-terminating blank line, leaving any
-/// body bytes unconsumed in the reader.
-fn read_http_head(shared: &Shared, reader: &mut BufReader<TcpStream>, cap: usize) -> HeadRead {
-    let mut head: Vec<u8> = Vec::new();
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok([]) => return HeadRead::Closed,
-            Ok(buf) => buf,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return HeadRead::Closed;
-                }
-                continue;
-            }
-            Err(_) => return HeadRead::Closed,
-        };
-        // Byte-wise scan so the terminator is found even when it
-        // straddles a read boundary, and body bytes are never consumed.
-        let mut consumed = 0;
-        let mut done = false;
-        for &b in buf {
-            consumed += 1;
-            head.push(b);
-            if head.len() > cap {
-                reader.consume(consumed);
-                return HeadRead::Oversized;
-            }
-            if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-                done = true;
-                break;
-            }
-        }
-        reader.consume(consumed);
-        if done {
-            match String::from_utf8(head) {
-                Ok(text) => return HeadRead::Head(text),
-                // Non-UTF-8 heads parse as malformed downstream.
-                Err(_) => return HeadRead::Head(String::new()),
-            }
-        }
-    }
-}
-
-/// Reads exactly `len` body bytes, tolerating timeout polls.
-fn read_http_body(
-    shared: &Shared,
-    reader: &mut BufReader<TcpStream>,
-    len: usize,
-) -> Option<Vec<u8>> {
-    let mut body = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        match reader.read(&mut body[got..]) {
-            Ok(0) => return None,
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return None;
-                }
-            }
-            Err(_) => return None,
-        }
-    }
-    Some(body)
 }
 
 /// The `/schedule` route implies `"action":"schedule"` when the body
@@ -1202,84 +1177,24 @@ fn inject_default_action(line: &str) -> String {
     tcms_obs::json::to_string(&JsonValue::Object(map))
 }
 
-/// Runs one HTTP work request end to end: parse, answer inline or queue
-/// behind the same bounded queue as NDJSON work, and map the NDJSON
-/// response line onto an HTTP status. The body IS the NDJSON line — the
-/// fleet's bit-identicality guarantee carries over to HTTP verbatim.
-fn http_work(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
-    let null = JsonValue::Null;
-    let Ok(text) = std::str::from_utf8(body) else {
-        let err = ServeError::BadRequest("request body is not valid UTF-8".into());
-        shared.lock_metrics().counter_add("serve.errors", 1);
-        return (http::status_of(&err), error_line(&null, &err) + "\n");
-    };
+/// Runs one HTTP work request through [`admit`] — behind the same
+/// bounded queue as NDJSON work — and maps the NDJSON response line
+/// onto an HTTP status. The body IS the NDJSON line: the fleet's
+/// bit-identicality guarantee carries over to HTTP verbatim.
+fn http_work(shared: &Shared, body: &str) -> (u16, String) {
     // NDJSON wants one line; JSON newlines only ever separate tokens,
     // where a space is equivalent.
-    let line = inject_default_action(text.replace(['\r', '\n'], " ").trim());
-    let request = match parse_request(&line) {
-        Ok(r) => r,
-        Err((id, e)) => {
-            shared.lock_metrics().counter_add("serve.errors", 1);
-            return (http::status_of(&e), error_line(&id, &e) + "\n");
-        }
-    };
-    let Request {
-        id,
-        action,
-        deadline_ms,
-    } = request;
-    shared
-        .lock_metrics()
-        .counter_add(request_metric(&action), 1);
-    match inline_response(shared, &id, action) {
-        Ok(resp) => (http_status_of_line(&resp), resp + "\n"),
-        Err(work) => {
-            let deadline = deadline_ms
-                .or(shared.config.default_deadline_ms)
-                .map(Duration::from_millis);
-            let action_name = action_label(&work);
-            let raw = Some(line.clone());
-            // Rendezvous channel: the worker's `send` hands the line
-            // straight to this thread, which blocks like an NDJSON
-            // client would. Every queued job sends exactly one line
-            // (shutdown drains the queue through `execute`), so `recv`
-            // cannot wedge.
-            let (tx, rx) = mpsc::sync_channel(1);
-            let job = Job {
-                id: id.clone(),
-                action: work,
-                enqueued: Instant::now(),
-                deadline,
-                conn: Responder::Channel(tx),
-                raw: raw.clone(),
-            };
-            if let Err(e) = shared.enqueue(job) {
-                shared.lock_metrics().counter_add("serve.errors", 1);
-                if matches!(e, ServeError::Overloaded { .. }) {
-                    shared.lock_metrics().counter_add("serve.shed", 1);
-                }
-                shared.journal_record(raw, |request| JournalEntry {
-                    action: action_name,
-                    key: None,
-                    disposition: None,
-                    outcome: e.class(),
-                    code: e.code(),
-                    queue_us: 0,
-                    exec_us: 0,
-                    total_us: 0,
-                    request,
-                });
-                return (http::status_of(&e), error_line(&id, &e) + "\n");
-            }
-            match rx.recv() {
-                Ok(resp) => (http_status_of_line(&resp), resp + "\n"),
-                Err(_) => {
-                    let err = ServeError::Internal("worker dropped the response".into());
-                    (http::status_of(&err), error_line(&id, &err) + "\n")
-                }
-            }
-        }
-    }
+    let line = inject_default_action(body.replace(['\r', '\n'], " ").trim());
+    // Rendezvous channel: `admit` answers exactly once, inline or from
+    // a worker (shutdown drains the queue through `execute`), so `recv`
+    // cannot wedge.
+    let (tx, rx) = mpsc::sync_channel(1);
+    admit(shared, &line, Responder::Channel(tx));
+    let resp = rx.recv().unwrap_or_else(|_| {
+        let err = ServeError::Internal("worker dropped the response".into());
+        error_line(&JsonValue::Null, &err)
+    });
+    (http_status_of_line(&resp), resp + "\n")
 }
 
 /// The HTTP status an NDJSON response line maps onto: 200 for `ok`,
@@ -1294,86 +1209,101 @@ fn http_status_of_line(line: &str) -> u16 {
     }
 }
 
-/// Routes one parsed HTTP request.
-fn http_dispatch(shared: &Arc<Shared>, head: &http::RequestHead, body: &[u8]) -> (u16, String) {
-    let null = JsonValue::Null;
-    {
-        let mut m = shared.lock_metrics();
-        m.counter_add("serve.requests", 1);
-        m.counter_add("serve.fleet.http.requests", 1);
-    }
+/// Counts one HTTP-level typed error and renders it.
+fn http_error(shared: &Shared, status: u16, err: &ServeError) -> (u16, String) {
+    shared.lock_metrics().counter_add("serve.errors", 1);
+    (status, error_line(&JsonValue::Null, err) + "\n")
+}
+
+/// Routes one parsed HTTP request. `body` is consumed only by
+/// `/schedule`, so a bad body never masks a 404 or 405.
+fn http_route(
+    shared: &Shared,
+    head: &http::RequestHead,
+    body: Result<String, ServeError>,
+) -> (u16, String) {
     match (head.method.as_str(), head.path.as_str()) {
-        ("GET", "/healthz") => {
-            if shared.shutting_down() {
-                (503, error_line(&null, &ServeError::ShuttingDown) + "\n")
-            } else {
-                (200, success_line(&null, BTreeMap::new()) + "\n")
-            }
+        ("GET", "/healthz") if shared.shutting_down() => {
+            http_error(shared, 503, &ServeError::ShuttingDown)
         }
+        ("GET", "/healthz") => (200, success_line(&JsonValue::Null, BTreeMap::new()) + "\n"),
         ("GET", "/stats") => {
             shared.lock_metrics().counter_add("serve.requests.stats", 1);
-            (200, success_line(&null, shared.stats_body()) + "\n")
+            (
+                200,
+                success_line(&JsonValue::Null, shared.stats_body()) + "\n",
+            )
         }
-        ("POST", "/schedule") => http_work(shared, body),
+        ("POST", "/schedule") => match body {
+            Ok(body) => http_work(shared, &body),
+            Err(e) => http_error(shared, http::status_of(&e), &e),
+        },
         (_, "/healthz" | "/stats" | "/schedule") => {
             let err = ServeError::BadRequest(format!(
                 "method {} not allowed on {}",
                 head.method, head.path
             ));
-            (405, error_line(&null, &err) + "\n")
+            http_error(shared, 405, &err)
         }
-        (_, path) => (
-            404,
-            error_line(&null, &ServeError::UnknownAction(path.to_owned())) + "\n",
-        ),
+        (_, path) => http_error(shared, 404, &ServeError::UnknownAction(path.to_owned())),
     }
 }
 
-/// Serves one HTTP connection: a loop of head → body → dispatch →
-/// response, honouring keep-alive. Pure parsing/rendering lives in
-/// [`crate::fleet::http`]; this is just the socket plumbing.
-fn serve_http_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut write = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+/// Reads and answers one HTTP request: `(status, body, keep-alive)`, or
+/// `None` once the client has gone. Like an NDJSON line, every request
+/// counts `serve.requests`, and every typed error counts `serve.errors`.
+fn http_exchange(shared: &Shared, reader: &mut FrameReader<'_>) -> Option<(u16, String, bool)> {
+    let head = match reader.head() {
+        Err(ReadError::Closed) => return None,
+        head => head,
     };
-    let mut reader = BufReader::new(stream);
-    let cap = shared.config.max_request_bytes.max(1);
-    loop {
-        let head_text = match read_http_head(shared, &mut reader, cap) {
-            HeadRead::Head(h) => h,
-            HeadRead::Closed => return,
-            HeadRead::Oversized => {
-                let err = ServeError::TooLarge { limit: cap };
-                let body = error_line(&JsonValue::Null, &err) + "\n";
-                let _ = write.write_all(&http::response_bytes(413, &body, false));
-                return;
-            }
-        };
-        let head = match http::parse_request_head(&head_text) {
-            Ok(h) => h,
-            Err(msg) => {
-                let err = ServeError::BadRequest(format!("malformed HTTP request: {msg}"));
-                let body = error_line(&JsonValue::Null, &err) + "\n";
-                let _ = write.write_all(&http::response_bytes(400, &body, false));
-                return;
-            }
-        };
-        if head.content_length > cap {
-            let err = ServeError::TooLarge { limit: cap };
-            let body = error_line(&JsonValue::Null, &err) + "\n";
-            let _ = write.write_all(&http::response_bytes(413, &body, false));
-            return;
-        }
-        let Some(body) = read_http_body(shared, &mut reader, head.content_length) else {
-            return;
-        };
-        let (status, line) = http_dispatch(shared, &head, &body);
-        let _ = write.write_all(&http::response_bytes(status, &line, head.keep_alive));
-        let _ = write.flush();
-        if !head.keep_alive {
+    {
+        let mut m = shared.lock_metrics();
+        m.counter_add("serve.requests", 1);
+        m.counter_add("serve.fleet.http.requests", 1);
+    }
+    let head = head.and_then(|text| {
+        http::parse_request_head(&text).map_err(|msg| ReadError::Reject {
+            error: ServeError::BadRequest(format!("malformed HTTP request: {msg}")),
+            close: true,
+        })
+    });
+    let head = match head {
+        Ok(head) => head,
+        Err(e) => return http_close(shared, e),
+    };
+    let body = match reader.body(head.content_length) {
+        Ok(body) => Ok(body),
+        Err(ReadError::Reject {
+            error,
+            close: false,
+        }) => Err(error),
+        Err(e) => return http_close(shared, e),
+    };
+    let (status, line) = http_route(shared, &head, body);
+    Some((status, line, head.keep_alive))
+}
+
+/// The last answer on a connection that cannot continue, or `None` when
+/// the client has already gone.
+fn http_close(shared: &Shared, e: ReadError) -> Option<(u16, String, bool)> {
+    let ReadError::Reject { error, .. } = e else {
+        return None;
+    };
+    let (status, body) = http_error(shared, http::status_of(&error), &error);
+    Some((status, body, false))
+}
+
+/// Serves one HTTP connection: request after request while keep-alive
+/// holds. Pure parsing/rendering lives in [`crate::fleet::http`].
+fn serve_http_connection(shared: &Shared, stream: TcpStream) {
+    let Some((mut reader, mut writer)) = FrameReader::open(shared, stream) else {
+        return;
+    };
+    while let Some((status, body, keep_alive)) = http_exchange(shared, &mut reader) {
+        let _ = writer.write_all(&http::response_bytes(status, &body, keep_alive));
+        let _ = writer.flush();
+        if !keep_alive {
             return;
         }
     }
@@ -1387,48 +1317,69 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     http_addr: Option<SocketAddr>,
-    accept: Option<JoinHandle<()>>,
-    http_accept: Option<JoinHandle<()>>,
-    sync_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Workers, accept loops and the anti-entropy loop: each exits on
+    /// its own once shutdown begins.
+    threads: Vec<JoinHandle<()>>,
 }
 
-/// Spawns a nonblocking accept loop that hands each connection to
-/// `handler` on a detached thread (connection threads exit on client
-/// EOF or the shutdown flag via their read timeout).
-fn spawn_accept_loop(
+/// The one accept loop, under the daemon's listeners and the chaos
+/// proxy: blocks in `accept`, hands each connection to `on_conn`, and
+/// exits on the first accept after `stopped()` turns true — which
+/// [`wake`] supplies.
+pub(crate) fn spawn_accept_loop(
+    listener: TcpListener,
+    name: String,
+    stopped: impl Fn() -> bool + Send + 'static,
+    mut on_conn: impl FnMut(TcpStream) + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(move || {
+        for stream in listener.incoming() {
+            if stopped() {
+                return;
+            }
+            if let Ok(stream) = stream {
+                on_conn(stream);
+            }
+        }
+    })
+}
+
+/// Wakes an accept loop parked on the listener at `addr` by connecting
+/// to it once. An unspecified bind address (`0.0.0.0`, `::`) is dialled
+/// on loopback.
+pub(crate) fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, PEER_CONNECT_TIMEOUT);
+}
+
+/// Serves `listener` until shutdown, one detached thread per connection
+/// (connection threads exit on client EOF, or notice shutdown through
+/// their reader's read timeout).
+fn serve_listener(
     shared: &Arc<Shared>,
     listener: TcpListener,
     name: &str,
-    handler: fn(&Arc<Shared>, TcpStream),
-) -> JoinHandle<()> {
+    handler: fn(&Shared, TcpStream),
+) -> std::io::Result<JoinHandle<()>> {
+    let flag = Arc::clone(shared);
     let shared = Arc::clone(shared);
     let conn_name = format!("{name}-conn");
-    std::thread::Builder::new()
-        .name(format!("{name}-accept"))
-        .spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&shared);
-                    let _ = std::thread::Builder::new()
-                        .name(conn_name.clone())
-                        .spawn(move || handler(&shared, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if shared.shutting_down() {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {
-                    if shared.shutting_down() {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        })
-        .expect("spawn accept thread")
+    spawn_accept_loop(
+        listener,
+        format!("{name}-accept"),
+        move || flag.shutting_down(),
+        move |stream| {
+            let shared = Arc::clone(&shared);
+            let _ = std::thread::Builder::new()
+                .name(conn_name.clone())
+                .spawn(move || handler(&shared, stream));
+        },
+    )
 }
 
 impl Server {
@@ -1441,14 +1392,9 @@ impl Server {
     /// Propagates bind and snapshot I/O failures.
     pub fn start(mut config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.listen)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let http_listener = match &config.http_listen {
-            Some(http) => {
-                let l = TcpListener::bind(http)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
+            Some(http) => Some(TcpListener::bind(http)?),
             None => None,
         };
         let http_addr = match &http_listener {
@@ -1478,6 +1424,7 @@ impl Server {
             None => None,
         };
         let fleet = config.fleet.clone().map(Fleet::new);
+        let (sync_stop, sync_wait) = mpsc::channel::<()>();
         let shared = Arc::new(Shared {
             config,
             cache,
@@ -1489,8 +1436,10 @@ impl Server {
             inflight: AtomicU64::new(0),
             fleet,
             last_sync: Mutex::new(None),
+            listen_addrs: std::iter::once(addr).chain(http_addr).collect(),
+            sync_stop: Mutex::new(Some(sync_stop)),
         });
-        let workers = (0..shared.config.workers)
+        let mut threads: Vec<_> = (0..shared.config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -1520,41 +1469,42 @@ impl Server {
                     .expect("spawn worker thread")
             })
             .collect();
-        let accept = spawn_accept_loop(&shared, listener, "tcms-serve", serve_connection);
-        let http_accept = http_listener
-            .map(|l| spawn_accept_loop(&shared, l, "tcms-serve-http", serve_http_connection));
-        // The anti-entropy loop: sleep in short shutdown-checked steps,
+        threads.push(serve_listener(
+            &shared,
+            listener,
+            "tcms-serve",
+            serve_connection,
+        )?);
+        if let Some(l) = http_listener {
+            threads.push(serve_listener(
+                &shared,
+                l,
+                "tcms-serve-http",
+                serve_http_connection,
+            )?);
+        }
+        // The anti-entropy loop: wait out the interval on the stop
+        // channel (shutdown drops its sender, ending the wait at once),
         // then exchange digests with every peer.
-        let sync_loop = shared
-            .fleet
-            .as_ref()
-            .and_then(|f| f.config.sync_interval)
-            .map(|interval| {
-                let shared = Arc::clone(&shared);
+        if let Some(interval) = shared.fleet.as_ref().and_then(|f| f.config.sync_interval) {
+            let shared = Arc::clone(&shared);
+            threads.push(
                 std::thread::Builder::new()
                     .name("tcms-serve-sync".into())
-                    .spawn(move || loop {
-                        let mut slept = Duration::ZERO;
-                        while slept < interval {
-                            if shared.shutting_down() {
-                                return;
-                            }
-                            let step = Duration::from_millis(50).min(interval - slept);
-                            std::thread::sleep(step);
-                            slept += step;
+                    .spawn(move || {
+                        while sync_wait.recv_timeout(interval)
+                            == Err(mpsc::RecvTimeoutError::Timeout)
+                        {
+                            shared.sync_all_peers();
                         }
-                        shared.sync_all_peers();
-                    })
-                    .expect("spawn sync thread")
-            });
+                    })?,
+            );
+        }
         Ok(Server {
             shared,
             addr,
             http_addr,
-            accept: Some(accept),
-            http_accept,
-            sync_loop,
-            workers,
+            threads,
         })
     }
 
@@ -1579,8 +1529,7 @@ impl Server {
 
     /// Signals shutdown: stop accepting, drain the queue, then exit.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.begin_shutdown();
     }
 
     /// Whether a shutdown has been requested (by [`Server::shutdown`] or
@@ -1596,17 +1545,8 @@ impl Server {
     /// # Errors
     ///
     /// Propagates snapshot write failures.
-    pub fn wait(mut self) -> std::io::Result<()> {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.http_accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sync_loop.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+    pub fn wait(self) -> std::io::Result<()> {
+        for h in self.threads {
             let _ = h.join();
         }
         // Close the journal after the workers: every executed request
@@ -1626,10 +1566,14 @@ impl Server {
         self.shared.lock_metrics().counter(name)
     }
 
-    /// Journal accepted/dropped counters, when capture is enabled.
+    /// Journal counters, when capture is enabled, once the writer has
+    /// handled every request answered so far (rotations included).
     #[must_use]
     pub fn journal_stats(&self) -> Option<JournalStats> {
-        self.shared.journal.as_ref().map(JournalWriter::stats)
+        self.shared.journal.as_ref().map(|journal| {
+            journal.settle();
+            journal.stats()
+        })
     }
 
     /// The result cache (test and stats support).
@@ -1643,6 +1587,7 @@ impl Server {
 mod tests {
     use super::*;
     use crate::fleet::HashRing;
+    use std::io::Read as _;
 
     const SAMPLE: &str = "resource add delay=1 area=1\nresource mul delay=2 area=4 pipelined\n\
         process A\nblock body time=8\nop m0 mul\nop a0 add\nedge m0 a0\n\
@@ -2134,6 +2079,74 @@ mod tests {
         );
         server.shutdown();
         server.wait().unwrap();
+    }
+
+    /// Sends raw bytes to an HTTP listener and returns the status.
+    fn http_status(addr: SocketAddr, raw: &str) -> u16 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut text = String::new();
+        stream.read_to_string(&mut text).unwrap();
+        text.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn http_errors_count_requests_and_errors_like_ndjson() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            max_request_bytes: 256,
+            http_listen: Some("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let http = server.local_http_addr().unwrap();
+        let oversized = format!("GET /stats HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "x".repeat(1024));
+        assert_eq!(http_status(http, &oversized), 413);
+        assert_eq!(http_status(http, "NONSENSE\r\n\r\n"), 400);
+        let (status, _) = http_roundtrip(http, "GET", "/nope", "");
+        assert_eq!(status, 404);
+        let (status, _) = http_roundtrip(http, "DELETE", "/stats", "");
+        assert_eq!(status, 405);
+        let (status, body) = http_roundtrip(http, "GET", "/stats", "");
+        assert_eq!(status, 200);
+        let stats = parse_response(body.trim_end()).unwrap();
+        let field = |name: &str| stats.body.get(name).and_then(JsonValue::as_f64);
+        // Four typed errors plus the stats request itself.
+        assert_eq!(field("requests"), Some(5.0));
+        assert_eq!(field("errors"), Some(4.0));
+        server.shutdown();
+        server.wait().unwrap();
+    }
+
+    #[test]
+    fn shutdown_request_wakes_every_thread_and_closes_both_ports() {
+        let listen = reserve_ports(1).remove(0);
+        let server = Server::start(ServeConfig {
+            listen: listen.clone(),
+            workers: 2,
+            http_listen: Some("127.0.0.1:0".into()),
+            fleet: Some(FleetConfig {
+                // Far longer than the test: the loop must be woken, not
+                // wait out its interval.
+                sync_interval: Some(Duration::from_secs(3600)),
+                ..FleetConfig::new(listen.clone(), vec![listen])
+            }),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let (addr, http) = (server.local_addr(), server.local_http_addr().unwrap());
+        assert!(roundtrip(addr, r#"{"id":"bye","action":"shutdown"}"#).is_ok());
+        // A watchdog thread waits, so a hang fails the test instead of
+        // hanging the suite.
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || done.send(server.wait().is_ok()));
+        assert_eq!(
+            finished.recv_timeout(Duration::from_secs(2)),
+            Ok(true),
+            "wait() did not return within 2 s of the shutdown request"
+        );
+        assert!(TcpStream::connect(addr).is_err(), "NDJSON port still open");
+        assert!(TcpStream::connect(http).is_err(), "HTTP port still open");
     }
 
     #[test]
