@@ -433,9 +433,6 @@ impl Search<'_> {
 
     #[allow(unused_variables)]
     fn assert_bound(&self, bound: u64, spec: &SharingSpec) {
-        if !self.check_bounds {
-            return;
-        }
         #[cfg(any(test, feature = "naive-oracle"))]
         {
             let naive = self.lower_bound_naive(spec);
@@ -451,7 +448,9 @@ impl Search<'_> {
             return;
         }
         let bound = self.bounds.lower_bound();
-        self.assert_bound(bound, spec);
+        if self.check_bounds {
+            self.assert_bound(bound, spec);
+        }
         if let Some((best_area, _)) = &self.best {
             if bound >= *best_area {
                 return;

@@ -1,10 +1,10 @@
 //! The shared request pipeline: load → spec → schedule (optionally
 //! through the content-addressed cache) → render.
 //!
-//! Both the one-shot CLI (`tcms schedule` / `tcms simulate`) and every
-//! daemon worker execute **this** code, so their outputs are
-//! bit-identical by construction — the daemon does not reimplement the
-//! report renderer, it shares it.
+//! Both the one-shot CLI (`tcms schedule` / `tcms simulate` /
+//! `tcms vhdl`) and every daemon worker execute **this** code, so their
+//! outputs are bit-identical by construction — the daemon does not
+//! reimplement the report renderer, it shares it.
 //!
 //! # Cache semantics
 //!
@@ -40,7 +40,7 @@ use tcms_ir::canon::Canonicalization;
 use tcms_ir::generators::paper_library;
 use tcms_ir::{display, frontend, parse, System};
 use tcms_obs::{NoopRecorder, Recorder};
-use tcms_sim::{SimConfig, Simulator, Trigger};
+use tcms_sim::{FaultPlan, SimConfig, Simulator, Trigger};
 
 use crate::cache::{CacheKey, Disposition, SchedCache};
 use crate::error::ServeError;
@@ -171,6 +171,41 @@ impl Default for ExecContext<'_> {
     }
 }
 
+/// The partitioned run a request gets: an explicit `--partition` wins,
+/// else specs of at least `auto_partition_ops` operations (`0` never)
+/// decompose automatically; `None` is a monolithic run.
+fn partition_config(
+    opts: &ScheduleOptions,
+    system: &System,
+    auto_partition_ops: usize,
+) -> Option<PartitionConfig> {
+    opts.partition
+        .or_else(|| {
+            (auto_partition_ops > 0 && system.num_ops() >= auto_partition_ops)
+                .then_some(PartitionCount::Auto)
+        })
+        .map(|count| PartitionConfig {
+            count,
+            ..PartitionConfig::default()
+        })
+}
+
+/// The content address of scheduling `spec` on `system` under `config`
+/// and the partition knobs, with the canonicalization it was taken on.
+fn content_address(
+    system: &System,
+    spec: &SharingSpec,
+    config: &FdsConfig,
+    pcfg: Option<&PartitionConfig>,
+) -> (Canonicalization, CacheKey) {
+    let canon = Canonicalization::of(system);
+    let key = CacheKey {
+        spec: canon.hash(),
+        config: config_fingerprint_with(system, &canon, spec, config, pcfg),
+    };
+    (canon, key)
+}
+
 /// Computes the content address a schedule request *would* use, without
 /// scheduling anything: parse, build the spec, canonicalize,
 /// fingerprint. This is what fleet routing keys on — every node derives
@@ -199,20 +234,9 @@ pub fn request_cache_key(
     }
     let system = load_system(source)?;
     let spec = build_spec(&system, opts.all_global, &opts.globals)?;
-    let partition = opts.partition.or_else(|| {
-        (auto_partition_ops > 0 && system.num_ops() >= auto_partition_ops)
-            .then_some(PartitionCount::Auto)
-    });
-    let pcfg = partition.map(|count| PartitionConfig {
-        count,
-        ..PartitionConfig::default()
-    });
-    let config = FdsConfig::default();
-    let canon = Canonicalization::of(&system);
-    Ok(Some(CacheKey {
-        spec: canon.hash(),
-        config: config_fingerprint_with(&system, &canon, &spec, &config, pcfg.as_ref()),
-    }))
+    let pcfg = partition_config(opts, &system, auto_partition_ops);
+    let (_, key) = content_address(&system, &spec, &FdsConfig::default(), pcfg.as_ref());
+    Ok(Some(key))
 }
 
 /// Everything a schedule request produced.
@@ -220,8 +244,12 @@ pub fn request_cache_key(
 pub struct ScheduleArtifacts {
     /// The rendered report (the response payload / CLI stdout).
     pub text: String,
-    /// The loaded system (for `--save` and binding follow-ups).
+    /// The loaded system (for `--save` and binding follow-ups); the
+    /// degradation ladder's rewritten system on a `degrade` run.
     pub system: System,
+    /// The sharing specification the schedule satisfies (the ladder's
+    /// relaxed one on a `degrade` run).
+    pub spec: SharingSpec,
     /// The finished schedule.
     pub schedule: Schedule,
     /// How the result was obtained; `Miss` for cache-less runs.
@@ -235,6 +263,41 @@ pub struct ScheduleArtifacts {
     /// workload journal records it so replays can be correlated without
     /// re-canonicalizing.
     pub cache_key: Option<CacheKey>,
+}
+
+/// One fresh scheduler run — the partitioned driver under `pcfg`, else
+/// the monolithic scheduler — verified against the full spec. Returns
+/// `(schedule, iterations, partition note)`. A cache miss and a
+/// cache-less request both run exactly this, so they render the same
+/// bytes.
+fn run_fresh(
+    system: &System,
+    spec: &SharingSpec,
+    config: &FdsConfig,
+    pcfg: Option<&PartitionConfig>,
+    rec: &dyn Recorder,
+) -> Result<(Schedule, u64, Option<String>), ServeError> {
+    let (schedule, iterations, note) = match pcfg {
+        Some(pcfg) => {
+            let out = schedule_partitioned_recorded(system, spec.clone(), config, pcfg, rec)?;
+            let note = format!(
+                "partitioned: {} subgraphs, {} feedback rounds, {} cut edges",
+                out.partitions, out.rounds, out.cut_edges
+            );
+            let iterations = out.iterations();
+            (out.schedule, iterations, Some(note))
+        }
+        None => {
+            let outcome = ModuloScheduler::new(system, spec.clone())?
+                .with_config(config.clone())
+                .run_recorded(rec)?;
+            (outcome.schedule, outcome.iterations, None)
+        }
+    };
+    schedule
+        .verify(system)
+        .map_err(|e| ServeError::Verify(e.to_string()))?;
+    Ok((schedule, iterations, note))
 }
 
 /// Runs the full schedule pipeline on `source`.
@@ -259,21 +322,11 @@ pub fn schedule_request(
         budget: ctx.budget,
         ..FdsConfig::default()
     };
-
-    // Explicit `--partition` always wins; otherwise over-threshold specs
-    // are routed through the partitioner automatically.
-    let partition = opts.partition.or_else(|| {
-        (ctx.auto_partition_ops > 0 && system.num_ops() >= ctx.auto_partition_ops)
-            .then_some(PartitionCount::Auto)
-    });
-    let pcfg = partition.map(|count| PartitionConfig {
-        count,
-        ..PartitionConfig::default()
-    });
+    let pcfg = partition_config(opts, &system, ctx.auto_partition_ops);
 
     let mut cache_key = None;
-    let (system, spec, schedule, iterations, fresh_iterations, disposition, note) = if opts.degrade
-    {
+    let mut disposition = Disposition::Miss;
+    let (system, spec, schedule, iterations, note) = if opts.degrade {
         // The ladder may rewrite the system (relaxed periods, widened
         // time ranges), so its results are not content-addressed by the
         // *input* design — bypass the cache.
@@ -285,15 +338,11 @@ pub fn schedule_request(
             ctx.rec,
         )?;
         let note = format!("degradation: {}", outcome.summary());
-        let final_system = outcome.system.unwrap_or(system);
-        let iterations = outcome.iterations;
         (
-            final_system,
+            outcome.system.unwrap_or(system),
             outcome.spec,
             outcome.schedule,
-            iterations,
-            iterations,
-            Disposition::Miss,
+            outcome.iterations,
             Some(note),
         )
     } else if let Some(cache) = ctx.cache {
@@ -301,44 +350,17 @@ pub fn schedule_request(
         // the partition knobs separate the fingerprint, and the
         // partition telemetry note rides inside the cache entry so a
         // hit replays the original run byte for byte.
-        let canon = Canonicalization::of(&system);
-        let key = CacheKey {
-            spec: canon.hash(),
-            config: config_fingerprint_with(&system, &canon, &spec, &config, pcfg.as_ref()),
-        };
+        let (canon, key) = content_address(&system, &spec, &config, pcfg.as_ref());
         cache_key = Some(key);
-        let (result, disposition) = cache.get_or_compute(key, || match &pcfg {
-            Some(pcfg) => {
-                let out =
-                    schedule_partitioned_recorded(&system, spec.clone(), &config, pcfg, ctx.rec)
-                        .map_err(ServeError::from)?;
-                out.schedule
-                    .verify(&system)
-                    .map_err(|e| ServeError::Verify(e.to_string()))?;
-                let note = format!(
-                    "partitioned: {} subgraphs, {} feedback rounds, {} cut edges",
-                    out.partitions, out.rounds, out.cut_edges
-                );
-                let iterations = out.iterations();
-                Ok(CacheableResult::capture(&canon, &out.schedule, iterations).with_note(note))
-            }
-            None => {
-                let outcome = ModuloScheduler::new(&system, spec.clone())
-                    .map_err(ServeError::from)?
-                    .with_config(config.clone())
-                    .run_recorded(ctx.rec)
-                    .map_err(ServeError::from)?;
-                outcome
-                    .schedule
-                    .verify(&system)
-                    .map_err(|e| ServeError::Verify(e.to_string()))?;
-                Ok(CacheableResult::capture(
-                    &canon,
-                    &outcome.schedule,
-                    outcome.iterations,
-                ))
-            }
+        let (result, how) = cache.get_or_compute(key, || {
+            let (schedule, iterations, note) =
+                run_fresh(&system, &spec, &config, pcfg.as_ref(), ctx.rec)?;
+            Ok(CacheableResult {
+                note,
+                ..CacheableResult::capture(&canon, &schedule, iterations)
+            })
         });
+        disposition = how;
         let cached = result?;
         let schedule = cached
             .replay(&canon)
@@ -349,68 +371,18 @@ pub fn schedule_request(
         schedule
             .verify(&system)
             .map_err(|e| ServeError::Verify(format!("cached schedule invalid: {e}")))?;
-        let fresh = if disposition == Disposition::Miss {
-            cached.iterations
-        } else {
-            0
-        };
-        let note = cached.note.clone();
         (
             system,
             spec,
             schedule,
             cached.iterations,
-            fresh,
-            disposition,
-            note,
-        )
-    } else if let Some(pcfg) = &pcfg {
-        // Cache-less partitioned run: same driver invocation the cached
-        // miss makes, so the two render identical bytes.
-        let (schedule, iterations, note) = {
-            let out = schedule_partitioned_recorded(&system, spec.clone(), &config, pcfg, ctx.rec)
-                .map_err(ServeError::from)?;
-            let note = format!(
-                "partitioned: {} subgraphs, {} feedback rounds, {} cut edges",
-                out.partitions, out.rounds, out.cut_edges
-            );
-            let iterations = out.iterations();
-            (out.schedule, iterations, note)
-        };
-        schedule
-            .verify(&system)
-            .map_err(|e| ServeError::Verify(e.to_string()))?;
-        (
-            system,
-            spec,
-            schedule,
-            iterations,
-            iterations,
-            Disposition::Miss,
-            Some(note),
+            cached.note.clone(),
         )
     } else {
-        let (schedule, iterations) = {
-            let outcome = ModuloScheduler::new(&system, spec.clone())
-                .map_err(ServeError::from)?
-                .with_config(config)
-                .run_recorded(ctx.rec)
-                .map_err(ServeError::from)?;
-            outcome
-                .schedule
-                .verify(&system)
-                .map_err(|e| ServeError::Verify(e.to_string()))?;
-            (outcome.schedule, outcome.iterations)
-        };
-        (
-            system,
-            spec,
-            schedule,
-            iterations,
-            iterations,
-            Disposition::Miss,
-            None,
-        )
+        // Cache-less: no canonicalization, the same run a miss makes.
+        let (schedule, iterations, note) =
+            run_fresh(&system, &spec, &config, pcfg.as_ref(), ctx.rec)?;
+        (system, spec, schedule, iterations, note)
     };
 
     let text = render_schedule_report(
@@ -425,9 +397,14 @@ pub fn schedule_request(
     Ok(ScheduleArtifacts {
         text,
         system,
+        spec,
         schedule,
         disposition,
-        fresh_iterations,
+        fresh_iterations: if disposition == Disposition::Miss {
+            iterations
+        } else {
+            0
+        },
         cache_key,
     })
 }
@@ -521,6 +498,19 @@ impl Default for SimulateOptions {
     }
 }
 
+impl SimulateOptions {
+    /// The schedule request a simulation runs on: the same sharing
+    /// flags, no report extras.
+    #[must_use]
+    pub fn schedule_options(&self) -> ScheduleOptions {
+        ScheduleOptions {
+            all_global: self.all_global,
+            globals: self.globals.clone(),
+            ..ScheduleOptions::default()
+        }
+    }
+}
+
 /// Everything a simulate request produced.
 #[derive(Debug)]
 pub struct SimulateArtifacts {
@@ -546,15 +536,27 @@ pub fn simulate_request(
     opts: &SimulateOptions,
     ctx: &ExecContext<'_>,
 ) -> Result<SimulateArtifacts, ServeError> {
-    let sched_opts = ScheduleOptions {
-        all_global: opts.all_global,
-        globals: opts.globals.clone(),
-        ..ScheduleOptions::default()
-    };
-    let arts = schedule_request(source, &sched_opts, ctx)?;
-    let system = arts.system;
-    let spec = build_spec(&system, opts.all_global, &opts.globals)?;
-    let sim = Simulator::new(&system, &spec, &arts.schedule);
+    let arts = schedule_request(source, &opts.schedule_options(), ctx)?;
+    Ok(SimulateArtifacts {
+        text: simulate_schedule(&arts, opts, None),
+        disposition: arts.disposition,
+        fresh_iterations: arts.fresh_iterations,
+        cache_key: arts.cache_key,
+    })
+}
+
+/// Simulates `opts`' random reactive workload on a finished schedule
+/// and renders the report exactly as `tcms simulate` prints it. With a
+/// fault plan the run injects its faults and the fault metrics are
+/// appended below the standard block.
+#[must_use]
+pub fn simulate_schedule(
+    arts: &ScheduleArtifacts,
+    opts: &SimulateOptions,
+    faults: Option<&FaultPlan>,
+) -> String {
+    let (system, spec) = (&arts.system, &arts.spec);
+    let sim = Simulator::new(system, spec, &arts.schedule);
     let workloads = vec![
         Trigger::Random {
             mean_gap: opts.mean_gap
@@ -565,44 +567,19 @@ pub fn simulate_request(
         horizon: opts.horizon,
         seed: opts.seed,
     };
-    let result = sim.run(&workloads, &config);
-    let out = render_simulation(
-        &system,
-        &spec,
-        &sim,
-        &result,
-        opts.horizon,
-        opts.seed,
-        opts.mean_gap,
-    );
-    Ok(SimulateArtifacts {
-        text: out,
-        disposition: arts.disposition,
-        fresh_iterations: arts.fresh_iterations,
-        cache_key: arts.cache_key,
-    })
-}
-
-/// Renders the standard simulation block exactly as `tcms simulate`
-/// prints it (shared by the daemon and the CLI, including the CLI's
-/// fault-injection mode, which appends its own lines after this block).
-#[must_use]
-pub fn render_simulation(
-    system: &System,
-    spec: &SharingSpec,
-    sim: &Simulator<'_>,
-    result: &tcms_sim::SimResult,
-    horizon: u64,
-    seed: u64,
-    mean_gap: u64,
-) -> String {
+    let (result, metrics) = match faults {
+        Some(plan) => {
+            let (result, metrics) = sim.run_with_faults(&workloads, &config, plan);
+            (result, Some((plan, metrics)))
+        }
+        None => (sim.run(&workloads, &config), None),
+    };
     let mut out = String::new();
     let _ = writeln!(out, "{}", display::summary(system));
     let _ = writeln!(
         out,
-        "simulated {horizon} steps (workload seed {seed}, mean gap {mean_gap}): \
-         {} activations",
-        result.activations
+        "simulated {} steps (workload seed {}, mean gap {}): {} activations",
+        opts.horizon, opts.seed, opts.mean_gap, result.activations
     );
     let _ = writeln!(
         out,
@@ -622,6 +599,33 @@ pub fn render_simulation(
         }
     }
     let _ = writeln!(out, "conflicts vs full pools: {}", result.conflicts.len());
+    if let Some((plan, m)) = metrics {
+        let _ = writeln!(
+            out,
+            "fault injection (seed {}): jitter<={} drop-prob={} outage-rate={} \
+             repair={} slack={}",
+            plan.seed,
+            plan.trigger_jitter,
+            plan.drop_slot_prob,
+            plan.outage_rate,
+            plan.repair_time,
+            plan.deadline_slack
+        );
+        let _ = writeln!(out, "  jitter injected:          {}", m.jitter_injected);
+        let _ = writeln!(out, "  dropped slots:            {}", m.dropped_slots);
+        let _ = writeln!(
+            out,
+            "  outages:                  {} ({} instance-steps)",
+            m.outages, m.outage_instance_steps
+        );
+        let _ = writeln!(
+            out,
+            "  authorization violations: {}",
+            m.authorization_violations
+        );
+        let _ = writeln!(out, "  missed deadlines:         {}", m.missed_deadlines);
+        let _ = writeln!(out, "  time to drain:            {}", m.time_to_drain);
+    }
     out
 }
 

@@ -1322,6 +1322,10 @@ pub struct Server {
     threads: Vec<JoinHandle<()>>,
 }
 
+/// Pause after a failed `accept`. Errors such as fd exhaustion persist
+/// until some connection closes, so retrying at once would spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
 /// The one accept loop, under the daemon's listeners and the chaos
 /// proxy: blocks in `accept`, hands each connection to `on_conn`, and
 /// exits on the first accept after `stopped()` turns true — which
@@ -1337,8 +1341,9 @@ pub(crate) fn spawn_accept_loop(
             if stopped() {
                 return;
             }
-            if let Ok(stream) = stream {
-                on_conn(stream);
+            match stream {
+                Ok(stream) => on_conn(stream),
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
     })

@@ -14,15 +14,15 @@
 //! in `src/bin/tcms.rs` only wires stdin/stdout.
 
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::ir::{display, dot, System};
-use crate::modulo::{check_execution, random_activations, ModuloScheduler, ScheduleError};
+use crate::ir::{display, dot};
+use crate::modulo::{check_execution, random_activations, ScheduleError};
 use crate::obs::{sink, NoopRecorder, Recorder, TraceRecorder};
 use crate::serve::cache::SchedCache;
 use crate::serve::pipeline::{self, ExecContext, ScheduleOptions, SimulateOptions};
 use crate::serve::{persist, Client, ServeConfig, ServeError, Server};
+use crate::sim::FaultPlan;
 
 /// A typed CLI failure. Every class maps to a stable process exit code
 /// (see [`CliError::exit_code`]) so scripts can branch on *why* a run
@@ -125,24 +125,26 @@ impl fmt::Display for CliError {
 /// Maps a serving-pipeline error onto the CLI's error classes; the
 /// scheduling classes translate one-to-one, the service-only classes
 /// become [`CliError::Service`].
-fn serve_to_cli(e: ServeError) -> CliError {
-    match e {
-        ServeError::BadRequest(m) => CliError::Usage(m),
-        ServeError::Malformed(m) => CliError::Malformed(m),
-        ServeError::Spec(m) => CliError::Spec(m),
-        ServeError::Schedule(e) => CliError::Schedule(e),
-        ServeError::Verify(m) => CliError::Verify(m),
-        other @ (ServeError::UnknownAction(_)
-        | ServeError::Overloaded { .. }
-        | ServeError::DeadlineExpired { .. }
-        | ServeError::ShuttingDown
-        | ServeError::PeerUnavailable { .. }
-        | ServeError::TooLarge { .. }
-        | ServeError::Internal(_)) => CliError::Service {
-            class: other.class().to_owned(),
-            code: other.code(),
-            message: other.to_string(),
-        },
+impl From<ServeError> for CliError {
+    fn from(e: ServeError) -> Self {
+        match e {
+            ServeError::BadRequest(m) => CliError::Usage(m),
+            ServeError::Malformed(m) => CliError::Malformed(m),
+            ServeError::Spec(m) => CliError::Spec(m),
+            ServeError::Schedule(e) => CliError::Schedule(e),
+            ServeError::Verify(m) => CliError::Verify(m),
+            other @ (ServeError::UnknownAction(_)
+            | ServeError::Overloaded { .. }
+            | ServeError::DeadlineExpired { .. }
+            | ServeError::ShuttingDown
+            | ServeError::PeerUnavailable { .. }
+            | ServeError::TooLarge { .. }
+            | ServeError::Internal(_)) => CliError::Service {
+                class: other.class().to_owned(),
+                code: other.code(),
+                message: other.to_string(),
+            },
+        }
     }
 }
 
@@ -223,14 +225,9 @@ pub enum Command {
     Schedule {
         /// Path of the `.dfg` input.
         input: String,
-        /// Uniform period for all shareable types (from `--all-global`).
-        all_global: Option<u32>,
-        /// Per-type `TYPE=PERIOD` global assignments (from `--global`).
-        globals: Vec<(String, u32)>,
-        /// Print ASCII Gantt charts (from `--gantt`).
-        gantt: bool,
-        /// Number of randomized execution checks (from `--verify N`).
-        verify: usize,
+        /// The schedule request (the flags `tcms client … schedule`
+        /// accepts too).
+        opts: ScheduleOptions,
         /// Write the schedule in `.sched` format to this path
         /// (from `--save`).
         save: Option<String>,
@@ -242,13 +239,6 @@ pub enum Command {
         /// Write the JSONL event/timeline stream to this path
         /// (from `--timeline`).
         timeline: Option<String>,
-        /// Retry infeasible or budget-tripped specifications through the
-        /// graceful-degradation ladder (from `--degrade`).
-        degrade: bool,
-        /// Feedback-guided subgraph decomposition (from
-        /// `--partition <K|auto>`); `None` keeps the pipeline's
-        /// size-threshold routing.
-        partition: Option<crate::modulo::PartitionCount>,
         /// Worker-thread count override (from `--threads`; 0 = auto).
         threads: Option<usize>,
         /// Persistent content-addressed result cache directory
@@ -260,22 +250,13 @@ pub enum Command {
     Simulate {
         /// Path of the design input.
         input: String,
-        /// Uniform period for all shareable types.
-        all_global: Option<u32>,
-        /// Per-type global assignments.
-        globals: Vec<(String, u32)>,
-        /// Simulated time steps (from `--horizon`).
-        horizon: u64,
-        /// Workload seed (from `--seed`).
-        seed: u64,
-        /// Mean gap of the random triggers (from `--mean-gap`).
-        mean_gap: u64,
-        /// Enable fault injection (from `--faults`).
-        faults: bool,
-        /// The fault plan used when `faults` is set; knob flags
-        /// (`--fault-seed`, `--jitter`, `--drop-prob`, `--outage-rate`,
-        /// `--repair`, `--slack`) override the moderate defaults.
-        plan: crate::sim::FaultPlan,
+        /// The simulate request (the flags `tcms client … simulate`
+        /// accepts too).
+        opts: SimulateOptions,
+        /// Fault injection (from `--faults`): the moderate plan with the
+        /// knob flags (`--fault-seed`, `--jitter`, `--drop-prob`,
+        /// `--outage-rate`, `--repair`, `--slack`) applied.
+        faults: Option<FaultPlan>,
         /// Worker-thread count override (from `--threads`; 0 = auto).
         threads: Option<usize>,
     },
@@ -444,8 +425,9 @@ SCHEDULE OPTIONS:
                           `auto`) scheduled in parallel with feedback-frozen
                           cross-partition profiles; `--partition 1` is
                           bit-identical to a monolithic run. Designs with 500+
-                          operations partition automatically; results are
-                          re-verified against the full spec and bypass the cache
+                          operations partition automatically (under simulate
+                          and vhdl too); results are re-verified against the
+                          full spec
   --threads <N>           worker threads for partition shards, the period
                           search and the exact search; the IFDS sweep itself
                           is sequential (0 = auto; also via the TCMS_THREADS
@@ -542,105 +524,50 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "schedule" => {
             let input = it.next().ok_or("schedule needs an input file")?.clone();
-            let mut all_global = None;
-            let mut globals = Vec::new();
-            let mut gantt = false;
-            let mut verify = 0usize;
-            let mut save = None;
-            let mut trace = None;
-            let mut metrics = false;
-            let mut timeline = None;
-            let mut degrade = false;
-            let mut partition = None;
-            let mut threads = None;
-            let mut cache_dir = None;
-            while let Some(opt) = it.next() {
-                match opt.as_str() {
-                    "--gantt" => gantt = true,
-                    "--degrade" => degrade = true,
-                    "--partition" => {
-                        let v = it.next().ok_or("--partition needs a count or `auto`")?;
-                        partition = Some(parse_partition(v)?);
-                    }
-                    "--cache-dir" => {
-                        cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone());
-                    }
-                    "--threads" => {
-                        let v = it.next().ok_or("--threads needs a count")?;
-                        threads = Some(v.parse().map_err(|_| format!("bad count `{v}`"))?);
-                    }
-                    "--verify" => {
-                        let v = it.next().ok_or("--verify needs a count")?;
-                        verify = v.parse().map_err(|_| format!("bad count `{v}`"))?;
-                    }
-                    "--save" => {
-                        save = Some(it.next().ok_or("--save needs a path")?.clone());
-                    }
-                    "--trace" => {
-                        trace = Some(it.next().ok_or("--trace needs a path")?.clone());
-                    }
+            let (mut save, mut trace, mut metrics, mut timeline) = (None, None, false, None);
+            let (mut threads, mut cache_dir) = (None, None);
+            let opts = parse_schedule_flags(&mut it, |opt, it| {
+                match opt {
+                    "--save" => save = Some(value(it, "--save")?),
+                    "--trace" => trace = Some(value(it, "--trace")?),
                     "--metrics" => metrics = true,
-                    "--timeline" => {
-                        timeline = Some(it.next().ok_or("--timeline needs a path")?.clone());
-                    }
-                    other => parse_spec_option(other, &mut it, &mut all_global, &mut globals)?,
+                    "--timeline" => timeline = Some(value(it, "--timeline")?),
+                    "--threads" => threads = Some(value(it, "--threads")?),
+                    "--cache-dir" => cache_dir = Some(value(it, "--cache-dir")?),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Schedule {
                 input,
-                all_global,
-                globals,
-                gantt,
-                verify,
+                opts,
                 save,
                 trace,
                 metrics,
                 timeline,
-                degrade,
-                partition,
                 threads,
                 cache_dir,
             })
         }
         "simulate" => {
             let input = it.next().ok_or("simulate needs an input file")?.clone();
-            let mut all_global = None;
-            let mut globals = Vec::new();
-            let mut horizon = 5_000u64;
-            let mut seed = 0u64;
-            let mut mean_gap = 50u64;
-            let mut faults = false;
             let mut threads = None;
-            let mut plan = crate::sim::FaultPlan::moderate(0);
-            fn num<T: std::str::FromStr>(
-                it: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, String> {
-                let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
-            }
-            while let Some(opt) = it.next() {
-                match opt.as_str() {
-                    "--horizon" => horizon = num(&mut it, "--horizon")?,
-                    "--seed" => seed = num(&mut it, "--seed")?,
-                    "--mean-gap" => mean_gap = num(&mut it, "--mean-gap")?,
-                    "--threads" => threads = Some(num(&mut it, "--threads")?),
+            let mut faults = false;
+            let mut plan = FaultPlan::moderate(0);
+            let opts = parse_simulate_flags(&mut it, |opt, it| {
+                match opt {
+                    "--threads" => threads = Some(value(it, "--threads")?),
                     "--faults" => faults = true,
-                    "--fault-seed" => plan.seed = num(&mut it, "--fault-seed")?,
-                    "--jitter" => plan.trigger_jitter = num(&mut it, "--jitter")?,
-                    "--drop-prob" => plan.drop_slot_prob = num(&mut it, "--drop-prob")?,
-                    "--outage-rate" => plan.outage_rate = num(&mut it, "--outage-rate")?,
-                    "--repair" => plan.repair_time = num(&mut it, "--repair")?,
-                    "--slack" => plan.deadline_slack = num(&mut it, "--slack")?,
-                    other => parse_spec_option(other, &mut it, &mut all_global, &mut globals)?,
+                    "--fault-seed" => plan.seed = value(it, "--fault-seed")?,
+                    "--jitter" => plan.trigger_jitter = value(it, "--jitter")?,
+                    "--drop-prob" => plan.drop_slot_prob = value(it, "--drop-prob")?,
+                    "--outage-rate" => plan.outage_rate = value(it, "--outage-rate")?,
+                    "--repair" => plan.repair_time = value(it, "--repair")?,
+                    "--slack" => plan.deadline_slack = value(it, "--slack")?,
+                    _ => return Ok(false),
                 }
-            }
-            if horizon == 0 {
-                return Err("--horizon must be positive".to_owned());
-            }
-            if mean_gap == 0 {
-                return Err("--mean-gap must be positive".to_owned());
-            }
+                Ok(true)
+            })?;
             for (name, p) in [
                 ("--drop-prob", plan.drop_slot_prob),
                 ("--outage-rate", plan.outage_rate),
@@ -651,13 +578,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Simulate {
                 input,
-                all_global,
-                globals,
-                horizon,
-                seed,
-                mean_gap,
-                faults,
-                plan,
+                opts,
+                faults: faults.then_some(plan),
                 threads,
             })
         }
@@ -683,10 +605,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut width = 16;
             while let Some(opt) = it.next() {
                 match opt.as_str() {
-                    "--width" => {
-                        let v = it.next().ok_or("--width needs a bit count")?;
-                        width = v.parse().map_err(|_| format!("bad width `{v}`"))?;
-                    }
+                    "--width" => width = value(&mut it, "--width")?,
                     other => parse_spec_option(other, &mut it, &mut all_global, &mut globals)?,
                 }
             }
@@ -718,35 +637,22 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut route = None;
             let mut sync_interval_ms = None;
             let mut replicas = None;
-            fn num<T: std::str::FromStr>(
-                it: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, String> {
-                let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
-            }
             while let Some(opt) = it.next() {
                 match opt.as_str() {
-                    "--listen" => {
-                        listen = it.next().ok_or("--listen needs an address")?.clone();
-                    }
-                    "--workers" => workers = num(&mut it, "--workers")?,
-                    "--queue" => queue = num(&mut it, "--queue")?,
-                    "--cache-capacity" => cache_capacity = num(&mut it, "--cache-capacity")?,
-                    "--cache-dir" => {
-                        cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone());
-                    }
-                    "--deadline-ms" => deadline_ms = Some(num(&mut it, "--deadline-ms")?),
+                    "--listen" => listen = value(&mut it, "--listen")?,
+                    "--workers" => workers = value(&mut it, "--workers")?,
+                    "--queue" => queue = value(&mut it, "--queue")?,
+                    "--cache-capacity" => cache_capacity = value(&mut it, "--cache-capacity")?,
+                    "--cache-dir" => cache_dir = Some(value(&mut it, "--cache-dir")?),
+                    "--deadline-ms" => deadline_ms = Some(value(&mut it, "--deadline-ms")?),
                     "--auto-partition-ops" => {
-                        auto_partition_ops = Some(num(&mut it, "--auto-partition-ops")?);
+                        auto_partition_ops = Some(value(&mut it, "--auto-partition-ops")?);
                     }
-                    "--journal-dir" => {
-                        journal_dir = Some(it.next().ok_or("--journal-dir needs a path")?.clone());
-                    }
+                    "--journal-dir" => journal_dir = Some(value(&mut it, "--journal-dir")?),
                     "--journal-rotate-bytes" => {
-                        journal_rotate_bytes = Some(num(&mut it, "--journal-rotate-bytes")?);
+                        journal_rotate_bytes = Some(value(&mut it, "--journal-rotate-bytes")?);
                     }
-                    "--threads" => threads = Some(num(&mut it, "--threads")?),
+                    "--threads" => threads = Some(value(&mut it, "--threads")?),
                     "--peers" => {
                         let v = it.next().ok_or("--peers needs a comma-separated list")?;
                         peers = v
@@ -759,20 +665,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             return Err("--peers needs at least one address".to_owned());
                         }
                     }
-                    "--advertise" => {
-                        advertise = Some(it.next().ok_or("--advertise needs an address")?.clone());
-                    }
-                    "--http" => {
-                        http = Some(it.next().ok_or("--http needs an address")?.clone());
-                    }
+                    "--advertise" => advertise = Some(value(&mut it, "--advertise")?),
+                    "--http" => http = Some(value(&mut it, "--http")?),
                     "--route" => {
                         let v = it.next().ok_or("--route needs proxy|local")?;
                         route = Some(crate::serve::RouteMode::parse(v)?);
                     }
                     "--sync-interval-ms" => {
-                        sync_interval_ms = Some(num(&mut it, "--sync-interval-ms")?);
+                        sync_interval_ms = Some(value(&mut it, "--sync-interval-ms")?);
                     }
-                    "--replicas" => replicas = Some(num(&mut it, "--replicas")?),
+                    "--replicas" => replicas = Some(value(&mut it, "--replicas")?),
                     other => return Err(format!("unknown option `{other}`")),
                 }
             }
@@ -815,13 +717,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut timeout_ms = None;
             while let Some(opt) = it.next() {
                 match opt.as_str() {
-                    "--timeout-ms" => {
-                        let v = it.next().ok_or("--timeout-ms needs a value")?;
-                        timeout_ms = Some(
-                            v.parse()
-                                .map_err(|_| format!("bad value `{v}` for --timeout-ms"))?,
-                        );
-                    }
+                    "--timeout-ms" => timeout_ms = Some(value(&mut it, "--timeout-ms")?),
                     other => return Err(format!("unknown option `{other}`")),
                 }
             }
@@ -830,21 +726,24 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "client" => {
             let addr = it.next().ok_or("client needs a daemon address")?.clone();
             let mut timeout_ms = None;
-            fn num<T: std::str::FromStr>(
-                it: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, String> {
-                let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
-            }
             // `--timeout-ms` may come before the request verb…
             let request = loop {
                 let word = it.next().ok_or("client needs a request")?.clone();
                 if word == "--timeout-ms" {
-                    timeout_ms = Some(num(&mut it, "--timeout-ms")?);
+                    timeout_ms = Some(value(&mut it, "--timeout-ms")?);
                 } else {
                     break word;
                 }
+            };
+            // …among schedule/simulate options, next to `--deadline-ms`…
+            let mut deadline_ms = None;
+            let mut client_flag = |opt: &str, it: &mut Args<'_>| {
+                match opt {
+                    "--deadline-ms" => deadline_ms = Some(value(it, "--deadline-ms")?),
+                    "--timeout-ms" => timeout_ms = Some(value(it, "--timeout-ms")?),
+                    _ => return Ok(false),
+                }
+                Ok(true)
             };
             let action = match request.as_str() {
                 "ping" => ClientCommand::Ping,
@@ -855,27 +754,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         .next()
                         .ok_or("client schedule needs a design file")?
                         .clone();
-                    let mut opts = ScheduleOptions::default();
-                    let mut deadline_ms = None;
-                    while let Some(opt) = it.next() {
-                        match opt.as_str() {
-                            "--gantt" => opts.gantt = true,
-                            "--degrade" => opts.degrade = true,
-                            "--partition" => {
-                                let v = it.next().ok_or("--partition needs a count or `auto`")?;
-                                opts.partition = Some(parse_partition(v)?);
-                            }
-                            "--verify" => opts.verify = num(&mut it, "--verify")?,
-                            "--deadline-ms" => deadline_ms = Some(num(&mut it, "--deadline-ms")?),
-                            "--timeout-ms" => timeout_ms = Some(num(&mut it, "--timeout-ms")?),
-                            other => parse_spec_option(
-                                other,
-                                &mut it,
-                                &mut opts.all_global,
-                                &mut opts.globals,
-                            )?,
-                        }
-                    }
+                    let opts = parse_schedule_flags(&mut it, &mut client_flag)?;
                     ClientCommand::Schedule {
                         input,
                         opts,
@@ -887,29 +766,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         .next()
                         .ok_or("client simulate needs a design file")?
                         .clone();
-                    let mut opts = SimulateOptions::default();
-                    let mut deadline_ms = None;
-                    while let Some(opt) = it.next() {
-                        match opt.as_str() {
-                            "--horizon" => opts.horizon = num(&mut it, "--horizon")?,
-                            "--seed" => opts.seed = num(&mut it, "--seed")?,
-                            "--mean-gap" => opts.mean_gap = num(&mut it, "--mean-gap")?,
-                            "--deadline-ms" => deadline_ms = Some(num(&mut it, "--deadline-ms")?),
-                            "--timeout-ms" => timeout_ms = Some(num(&mut it, "--timeout-ms")?),
-                            other => parse_spec_option(
-                                other,
-                                &mut it,
-                                &mut opts.all_global,
-                                &mut opts.globals,
-                            )?,
-                        }
-                    }
-                    if opts.horizon == 0 {
-                        return Err("--horizon must be positive".to_owned());
-                    }
-                    if opts.mean_gap == 0 {
-                        return Err("--mean-gap must be positive".to_owned());
-                    }
+                    let opts = parse_simulate_flags(&mut it, &mut client_flag)?;
                     ClientCommand::Simulate {
                         input,
                         opts,
@@ -926,7 +783,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             // own options above, so anything left here is trailing).
             while let Some(opt) = it.next() {
                 match opt.as_str() {
-                    "--timeout-ms" => timeout_ms = Some(num(&mut it, "--timeout-ms")?),
+                    "--timeout-ms" => timeout_ms = Some(value(&mut it, "--timeout-ms")?),
                     other => return Err(format!("unknown option `{other}`")),
                 }
             }
@@ -938,6 +795,68 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         other => Err(format!("unknown command `{other}` (try `tcms help`)")),
     }
+}
+
+/// The remaining words of a command line.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// Reads and parses the value that follows `flag`.
+fn value<T: std::str::FromStr>(it: &mut Args<'_>, flag: &str) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
+}
+
+/// Parses the `schedule` flags of both the one-shot and the `client`
+/// form. `form` consumes the flags only its form accepts (returning
+/// `true`); every other word must be a shared flag.
+fn parse_schedule_flags<'a>(
+    it: &mut Args<'a>,
+    mut form: impl FnMut(&str, &mut Args<'a>) -> Result<bool, String>,
+) -> Result<ScheduleOptions, String> {
+    let mut opts = ScheduleOptions::default();
+    while let Some(opt) = it.next() {
+        if form(opt, it)? {
+            continue;
+        }
+        match opt.as_str() {
+            "--gantt" => opts.gantt = true,
+            "--degrade" => opts.degrade = true,
+            "--verify" => opts.verify = value(it, "--verify")?,
+            "--partition" => {
+                let v = it.next().ok_or("--partition needs a count or `auto`")?;
+                opts.partition = Some(parse_partition(v)?);
+            }
+            other => parse_spec_option(other, it, &mut opts.all_global, &mut opts.globals)?,
+        }
+    }
+    Ok(opts)
+}
+
+/// Parses the `simulate` flags of both the one-shot and the `client`
+/// form, as [`parse_schedule_flags`] does for `schedule`.
+fn parse_simulate_flags<'a>(
+    it: &mut Args<'a>,
+    mut form: impl FnMut(&str, &mut Args<'a>) -> Result<bool, String>,
+) -> Result<SimulateOptions, String> {
+    let mut opts = SimulateOptions::default();
+    while let Some(opt) = it.next() {
+        if form(opt, it)? {
+            continue;
+        }
+        match opt.as_str() {
+            "--horizon" => opts.horizon = value(it, "--horizon")?,
+            "--seed" => opts.seed = value(it, "--seed")?,
+            "--mean-gap" => opts.mean_gap = value(it, "--mean-gap")?,
+            other => parse_spec_option(other, it, &mut opts.all_global, &mut opts.globals)?,
+        }
+    }
+    if opts.horizon == 0 {
+        return Err("--horizon must be positive".to_owned());
+    }
+    if opts.mean_gap == 0 {
+        return Err("--mean-gap must be positive".to_owned());
+    }
+    Ok(opts)
 }
 
 /// Parses the `--partition` value: `auto` or a positive subgraph count.
@@ -956,7 +875,7 @@ fn parse_partition(v: &str) -> Result<crate::modulo::PartitionCount, String> {
 /// Parses one `--all-global`/`--global` option shared by several commands.
 fn parse_spec_option(
     opt: &str,
-    it: &mut std::slice::Iter<'_, String>,
+    it: &mut Args<'_>,
     all_global: &mut Option<u32>,
     globals: &mut Vec<(String, u32)>,
 ) -> Result<(), String> {
@@ -979,68 +898,17 @@ fn parse_spec_option(
     }
 }
 
-/// Loads a system from either input language (delegates to the shared
-/// serving pipeline so the daemon and the CLI accept identical inputs).
-fn load_system(source: &str) -> Result<System, CliError> {
-    pipeline::load_system(source).map_err(serve_to_cli)
-}
-
-fn build_spec(
-    system: &System,
-    all_global: Option<u32>,
-    globals: &[(String, u32)],
-) -> Result<crate::modulo::SharingSpec, CliError> {
-    pipeline::build_spec(system, all_global, globals).map_err(serve_to_cli)
-}
-
-/// Executes the `schedule` command on already-loaded source text,
-/// returning the rendered report.
+/// Schedules `source` one-shot and returns the report `tcms schedule`
+/// prints: the loader, partition routing, scheduler and renderer a
+/// `tcms serve` daemon runs, which is what makes daemon responses
+/// bit-identical to this command's stdout.
 ///
 /// # Errors
 ///
 /// Returns a typed [`CliError`] for parse errors, invalid specs,
 /// scheduling failures and failed verification.
-pub fn schedule_source(
-    source: &str,
-    all_global: Option<u32>,
-    globals: &[(String, u32)],
-    want_gantt: bool,
-    verify: usize,
-) -> Result<String, CliError> {
-    schedule_source_full(
-        source,
-        &ScheduleOptions {
-            all_global,
-            globals: globals.to_vec(),
-            gantt: want_gantt,
-            verify,
-            degrade: false,
-            partition: None,
-        },
-        &NoopRecorder,
-        None,
-    )
-    .map(|(s, _, _)| s)
-}
-
-/// Runs the shared serving pipeline one-shot: same loader, same
-/// scheduler invocation, same renderer as a `tcms serve` daemon — which
-/// is what makes daemon responses bit-identical to this command's
-/// stdout. With a cache, results are content-addressed by the canonical
-/// design hash and configuration fingerprint.
-fn schedule_source_full(
-    source: &str,
-    opts: &ScheduleOptions,
-    rec: &dyn Recorder,
-    cache: Option<&SchedCache>,
-) -> Result<(String, System, crate::fds::Schedule), CliError> {
-    let ctx = ExecContext {
-        cache,
-        rec,
-        ..ExecContext::default()
-    };
-    let arts = pipeline::schedule_request(source, opts, &ctx).map_err(serve_to_cli)?;
-    Ok((arts.text, arts.system, arts.schedule))
+pub fn schedule_source(source: &str, opts: &ScheduleOptions) -> Result<String, CliError> {
+    Ok(pipeline::schedule_request(source, opts, &ExecContext::default())?.text)
 }
 
 /// Executes a parsed command, reading inputs from disk.
@@ -1059,25 +927,20 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
     match cmd {
         Command::Help => Ok(USAGE.to_owned()),
         Command::Dot { input } => {
-            let system = load_system(&read(input)?)?;
+            let system = pipeline::load_system(&read(input)?)?;
             Ok(dot::to_dot(&system))
         }
         Command::Summary { input } => {
-            let system = load_system(&read(input)?)?;
+            let system = pipeline::load_system(&read(input)?)?;
             Ok(format!("{}\n", display::summary(&system)))
         }
         Command::Schedule {
             input,
-            all_global,
-            globals,
-            gantt,
-            verify,
+            opts,
             save,
             trace,
             metrics,
             timeline,
-            degrade,
-            partition,
             threads,
             cache_dir,
         } => {
@@ -1107,16 +970,13 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                     Ok::<_, CliError>(cache)
                 })
                 .transpose()?;
-            let opts = ScheduleOptions {
-                all_global: *all_global,
-                globals: globals.clone(),
-                gantt: *gantt,
-                verify: *verify,
-                degrade: *degrade,
-                partition: *partition,
+            let ctx = ExecContext {
+                cache: cache.as_ref(),
+                rec,
+                ..ExecContext::default()
             };
-            let (mut out, system, schedule) =
-                schedule_source_full(&read(input)?, &opts, rec, cache.as_ref())?;
+            let arts = pipeline::schedule_request(&read(input)?, opts, &ctx)?;
+            let mut out = arts.text;
             if let (Some(cache), Some(dir)) = (&cache, cache_dir.as_deref()) {
                 persist::save_snapshot(Path::new(dir), &cache.entries()).map_err(|e| {
                     CliError::Io {
@@ -1132,7 +992,10 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 })
             };
             if let Some(path) = save {
-                write(path, crate::fds::schedule_io::to_sched(&system, &schedule))?;
+                write(
+                    path,
+                    crate::fds::schedule_io::to_sched(&arts.system, &arts.schedule),
+                )?;
                 out.push_str(&format!("schedule saved to {path}\n"));
             }
             if let Some(recorder) = recorder {
@@ -1154,73 +1017,19 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         }
         Command::Simulate {
             input,
-            all_global,
-            globals,
-            horizon,
-            seed,
-            mean_gap,
+            opts,
             faults,
-            plan,
             threads,
         } => {
             if let Some(n) = threads {
                 crate::fds::threads::set(*n);
             }
-            let system = load_system(&read(input)?)?;
-            let spec = build_spec(&system, *all_global, globals)?;
-            let outcome = ModuloScheduler::new(&system, spec.clone())?.run()?;
-            outcome
-                .schedule
-                .verify(&system)
-                .map_err(|e| CliError::Verify(e.to_string()))?;
-            let sim = crate::sim::Simulator::new(&system, &spec, &outcome.schedule);
-            let workloads = vec![
-                crate::sim::Trigger::Random {
-                    mean_gap: *mean_gap
-                };
-                system.num_processes()
-            ];
-            let config = crate::sim::SimConfig {
-                horizon: *horizon,
-                seed: *seed,
-            };
-            let (result, metrics) = if *faults {
-                let (r, m) = sim.run_with_faults(&workloads, &config, plan);
-                (r, Some(m))
-            } else {
-                (sim.run(&workloads, &config), None)
-            };
-            let mut out = pipeline::render_simulation(
-                &system, &spec, &sim, &result, *horizon, *seed, *mean_gap,
-            );
-            if let Some(m) = metrics {
-                let _ = writeln!(
-                    out,
-                    "fault injection (seed {}): jitter<={} drop-prob={} outage-rate={} \
-                     repair={} slack={}",
-                    plan.seed,
-                    plan.trigger_jitter,
-                    plan.drop_slot_prob,
-                    plan.outage_rate,
-                    plan.repair_time,
-                    plan.deadline_slack
-                );
-                let _ = writeln!(out, "  jitter injected:          {}", m.jitter_injected);
-                let _ = writeln!(out, "  dropped slots:            {}", m.dropped_slots);
-                let _ = writeln!(
-                    out,
-                    "  outages:                  {} ({} instance-steps)",
-                    m.outages, m.outage_instance_steps
-                );
-                let _ = writeln!(
-                    out,
-                    "  authorization violations: {}",
-                    m.authorization_violations
-                );
-                let _ = writeln!(out, "  missed deadlines:         {}", m.missed_deadlines);
-                let _ = writeln!(out, "  time to drain:            {}", m.time_to_drain);
-            }
-            Ok(out)
+            let arts = pipeline::schedule_request(
+                &read(input)?,
+                &opts.schedule_options(),
+                &ExecContext::default(),
+            )?;
+            Ok(pipeline::simulate_schedule(&arts, opts, faults.as_ref()))
         }
         Command::Check {
             input,
@@ -1228,8 +1037,8 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             all_global,
             globals,
         } => {
-            let system = load_system(&read(input)?)?;
-            let spec = build_spec(&system, *all_global, globals)?;
+            let system = pipeline::load_system(&read(input)?)?;
+            let spec = pipeline::build_spec(&system, *all_global, globals)?;
             let schedule = crate::fds::schedule_io::from_sched(&system, &read(sched)?)
                 .map_err(|e| CliError::Malformed(e.to_string()))?;
             schedule
@@ -1252,16 +1061,20 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             globals,
             width,
         } => {
-            let system = load_system(&read(input)?)?;
-            let spec = build_spec(&system, *all_global, globals)?;
-            let outcome = ModuloScheduler::new(&system, spec.clone())?.run()?;
-            let binding = crate::alloc::bind_system(&system, &spec, &outcome.schedule)
+            let opts = ScheduleOptions {
+                all_global: *all_global,
+                globals: globals.clone(),
+                ..ScheduleOptions::default()
+            };
+            let arts = pipeline::schedule_request(&read(input)?, &opts, &ExecContext::default())?;
+            let (system, spec, schedule) = (&arts.system, &arts.spec, &arts.schedule);
+            let binding = crate::alloc::bind_system(system, spec, schedule)
                 .map_err(|e| CliError::Backend(e.to_string()))?;
-            let registers = crate::alloc::allocate_registers(&system, &outcome.schedule);
+            let registers = crate::alloc::allocate_registers(system, schedule);
             crate::alloc::emit_vhdl(
-                &system,
-                &spec,
-                &outcome.schedule,
+                system,
+                spec,
+                schedule,
                 &binding,
                 &registers,
                 &crate::alloc::RtlOptions {
@@ -1272,7 +1085,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             .map_err(|e| CliError::Backend(e.to_string()))
         }
         Command::Dfg { input } => {
-            let system = load_system(&read(input)?)?;
+            let system = pipeline::load_system(&read(input)?)?;
             Ok(display::to_dfg(&system))
         }
         Command::Serve {
@@ -1458,16 +1271,17 @@ edge m0 a0
             cmd,
             Command::Schedule {
                 input: "x.dfg".into(),
-                all_global: Some(4),
-                globals: vec![("mul".into(), 2)],
-                gantt: true,
-                verify: 7,
+                opts: ScheduleOptions {
+                    all_global: Some(4),
+                    globals: vec![("mul".into(), 2)],
+                    gantt: true,
+                    verify: 7,
+                    ..ScheduleOptions::default()
+                },
                 save: None,
                 trace: None,
                 metrics: false,
                 timeline: None,
-                degrade: false,
-                partition: None,
                 threads: None,
                 cache_dir: None,
             }
@@ -1495,15 +1309,15 @@ edge m0 a0
         use crate::modulo::PartitionCount;
         let cmd = parse_args(&args(&["schedule", "x.dfg", "--partition", "auto"])).unwrap();
         match cmd {
-            Command::Schedule { partition, .. } => {
-                assert_eq!(partition, Some(PartitionCount::Auto));
+            Command::Schedule { opts, .. } => {
+                assert_eq!(opts.partition, Some(PartitionCount::Auto));
             }
             other => panic!("unexpected command {other:?}"),
         }
         let cmd = parse_args(&args(&["schedule", "x.dfg", "--partition", "4"])).unwrap();
         match cmd {
-            Command::Schedule { partition, .. } => {
-                assert_eq!(partition, Some(PartitionCount::Fixed(4)));
+            Command::Schedule { opts, .. } => {
+                assert_eq!(opts.partition, Some(PartitionCount::Fixed(4)));
             }
             other => panic!("unexpected command {other:?}"),
         }
@@ -1546,20 +1360,154 @@ edge m0 a0
         ]))
         .unwrap();
         match cmd {
-            Command::Simulate {
-                horizon,
-                faults,
-                plan,
-                all_global,
-                ..
-            } => {
-                assert_eq!(horizon, 2000);
-                assert_eq!(all_global, Some(5));
-                assert!(faults);
+            Command::Simulate { opts, faults, .. } => {
+                assert_eq!(opts.horizon, 2000);
+                assert_eq!(opts.all_global, Some(5));
+                let plan = faults.expect("--faults enables the plan");
                 assert!((plan.drop_slot_prob - 0.1).abs() < 1e-12);
                 assert_eq!(plan.repair_time, 40);
             }
             other => panic!("unexpected command {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shared_flags_parse_alike_one_shot_and_after_client() {
+        use crate::modulo::PartitionCount;
+        let with = |flags: &[&str], head: &[&str]| {
+            let mut argv = head.to_vec();
+            argv.extend_from_slice(flags);
+            parse_args(&args(&argv))
+        };
+        let d = ScheduleOptions::default;
+        for (flags, expected) in [
+            (
+                &["--all-global", "4"][..],
+                ScheduleOptions {
+                    all_global: Some(4),
+                    ..d()
+                },
+            ),
+            (
+                &["--global", "mul=2"],
+                ScheduleOptions {
+                    globals: vec![("mul".into(), 2)],
+                    ..d()
+                },
+            ),
+            (&["--gantt"], ScheduleOptions { gantt: true, ..d() }),
+            (&["--verify", "3"], ScheduleOptions { verify: 3, ..d() }),
+            (
+                &["--degrade"],
+                ScheduleOptions {
+                    degrade: true,
+                    ..d()
+                },
+            ),
+            (
+                &["--partition", "2"],
+                ScheduleOptions {
+                    partition: Some(PartitionCount::Fixed(2)),
+                    ..d()
+                },
+            ),
+        ] {
+            match with(flags, &["schedule", "x.dfg"]).unwrap() {
+                Command::Schedule { opts, .. } => assert_eq!(opts, expected, "{flags:?}"),
+                other => panic!("unexpected command {other:?}"),
+            }
+            match with(flags, &["client", "a:1", "schedule", "x.dfg"]).unwrap() {
+                Command::Client {
+                    action: ClientCommand::Schedule { opts, .. },
+                    ..
+                } => assert_eq!(opts, expected, "{flags:?}"),
+                other => panic!("unexpected command {other:?}"),
+            }
+        }
+        let d = SimulateOptions::default;
+        for (flags, expected) in [
+            (
+                &["--all-global", "4"][..],
+                SimulateOptions {
+                    all_global: Some(4),
+                    ..d()
+                },
+            ),
+            (
+                &["--global", "mul=2"],
+                SimulateOptions {
+                    globals: vec![("mul".into(), 2)],
+                    ..d()
+                },
+            ),
+            (
+                &["--horizon", "900"],
+                SimulateOptions {
+                    horizon: 900,
+                    ..d()
+                },
+            ),
+            (&["--seed", "7"], SimulateOptions { seed: 7, ..d() }),
+            (&["--mean-gap", "9"], SimulateOptions { mean_gap: 9, ..d() }),
+        ] {
+            match with(flags, &["simulate", "x.dfg"]).unwrap() {
+                Command::Simulate { opts, .. } => assert_eq!(opts, expected, "{flags:?}"),
+                other => panic!("unexpected command {other:?}"),
+            }
+            match with(flags, &["client", "a:1", "simulate", "x.dfg"]).unwrap() {
+                Command::Client {
+                    action: ClientCommand::Simulate { opts, .. },
+                    ..
+                } => assert_eq!(opts, expected, "{flags:?}"),
+                other => panic!("unexpected command {other:?}"),
+            }
+        }
+        // The shared checks hold in both forms.
+        for head in [
+            &["simulate", "x.dfg"][..],
+            &["client", "a:1", "simulate", "x.dfg"],
+        ] {
+            assert!(with(&["--horizon", "0"], head).is_err(), "{head:?}");
+            assert!(with(&["--mean-gap", "0"], head).is_err(), "{head:?}");
+        }
+        // One-shot-only flags parse one-shot and are rejected after
+        // `client`; the client-only flags are rejected one-shot.
+        let schedule_only: [&[&str]; 6] = [
+            &["--save", "p"],
+            &["--trace", "t"],
+            &["--metrics"],
+            &["--timeline", "t"],
+            &["--threads", "2"],
+            &["--cache-dir", "d"],
+        ];
+        for flags in schedule_only {
+            assert!(with(flags, &["schedule", "x.dfg"]).is_ok(), "{flags:?}");
+            assert!(
+                with(flags, &["client", "a:1", "schedule", "x.dfg"]).is_err(),
+                "{flags:?}"
+            );
+        }
+        let simulate_only: [&[&str]; 8] = [
+            &["--threads", "2"],
+            &["--faults"],
+            &["--fault-seed", "1"],
+            &["--jitter", "1"],
+            &["--drop-prob", "0.1"],
+            &["--outage-rate", "0.1"],
+            &["--repair", "5"],
+            &["--slack", "5"],
+        ];
+        for flags in simulate_only {
+            assert!(with(flags, &["simulate", "x.dfg"]).is_ok(), "{flags:?}");
+            assert!(
+                with(flags, &["client", "a:1", "simulate", "x.dfg"]).is_err(),
+                "{flags:?}"
+            );
+        }
+        for flags in [&["--deadline-ms", "5"][..], &["--timeout-ms", "5"]] {
+            for head in [&["schedule", "x.dfg"][..], &["simulate", "x.dfg"]] {
+                assert!(with(flags, head).is_err(), "{head:?} {flags:?}");
+            }
         }
     }
 
@@ -1611,30 +1559,45 @@ edge m0 a0
 
     #[test]
     fn schedule_source_local_and_global() {
-        let local = schedule_source(SAMPLE, None, &[], false, 0).unwrap();
+        let local = schedule_source(SAMPLE, &ScheduleOptions::default()).unwrap();
         assert!(local.contains("mul        2 instances"), "{local}");
-        let global = schedule_source(SAMPLE, None, &[("mul".into(), 2)], false, 3).unwrap();
+        let opts = ScheduleOptions {
+            globals: vec![("mul".into(), 2)],
+            verify: 3,
+            ..ScheduleOptions::default()
+        };
+        let global = schedule_source(SAMPLE, &opts).unwrap();
         assert!(global.contains("shared pool 1"), "{global}");
         assert!(global.contains("conflict-free"));
     }
 
     #[test]
     fn schedule_source_gantt() {
-        let out = schedule_source(SAMPLE, Some(2), &[], true, 0).unwrap();
+        let opts = ScheduleOptions {
+            all_global: Some(2),
+            gantt: true,
+            ..ScheduleOptions::default()
+        };
+        let out = schedule_source(SAMPLE, &opts).unwrap();
         assert!(out.contains("A :: body"));
         assert!(out.contains("B :: body"));
     }
 
     #[test]
     fn schedule_source_reports_unknown_type() {
-        let err = schedule_source(SAMPLE, None, &[("div".into(), 2)], false, 0).unwrap_err();
+        let opts = ScheduleOptions {
+            globals: vec![("div".into(), 2)],
+            ..ScheduleOptions::default()
+        };
+        let err = schedule_source(SAMPLE, &opts).unwrap_err();
         assert!(err.to_string().contains("unknown resource type"));
         assert_eq!(err.exit_code(), 5);
     }
 
     #[test]
     fn malformed_source_is_typed() {
-        let err = schedule_source("resource add delay=zero", None, &[], false, 0).unwrap_err();
+        let err =
+            schedule_source("resource add delay=zero", &ScheduleOptions::default()).unwrap_err();
         assert!(matches!(err, CliError::Malformed(_)), "{err:?}");
         assert_eq!(err.exit_code(), 4);
     }
@@ -1752,7 +1715,7 @@ edge m0 a0
     #[test]
     fn dfg_with_assignment_in_comment_stays_structural() {
         let src = format!("# note: y := a+b comes later\n{SAMPLE}");
-        let out = schedule_source(&src, None, &[], false, 0).unwrap();
+        let out = schedule_source(&src, &ScheduleOptions::default()).unwrap();
         assert!(out.contains("2 processes"), "{out}");
     }
 
@@ -1762,7 +1725,12 @@ edge m0 a0
 process a time=8 { y := p * q + r; }
 process b time=8 { z := p * q; }
 ";
-        let out = schedule_source(src, Some(4), &[], false, 2).unwrap();
+        let opts = ScheduleOptions {
+            all_global: Some(4),
+            verify: 2,
+            ..ScheduleOptions::default()
+        };
+        let out = schedule_source(src, &opts).unwrap();
         assert!(out.contains("shared pool 1"), "{out}");
         assert!(out.contains("conflict-free"));
     }
@@ -1820,16 +1788,14 @@ process b time=8 { z := p * q; }
         std::fs::write(&design, SAMPLE).unwrap();
         let out = run(&Command::Schedule {
             input: design.to_string_lossy().into_owned(),
-            all_global: Some(2),
-            globals: vec![],
-            gantt: false,
-            verify: 0,
+            opts: ScheduleOptions {
+                all_global: Some(2),
+                ..ScheduleOptions::default()
+            },
             save: Some(sched.to_string_lossy().into_owned()),
             trace: None,
             metrics: false,
             timeline: None,
-            degrade: false,
-            partition: None,
             threads: None,
             cache_dir: None,
         })
@@ -1855,16 +1821,14 @@ process b time=8 { z := p * q; }
         std::fs::write(&design, SAMPLE).unwrap();
         let out = run(&Command::Schedule {
             input: design.to_string_lossy().into_owned(),
-            all_global: Some(2),
-            globals: vec![],
-            gantt: false,
-            verify: 0,
+            opts: ScheduleOptions {
+                all_global: Some(2),
+                ..ScheduleOptions::default()
+            },
             save: None,
             trace: Some(trace.to_string_lossy().into_owned()),
             metrics: true,
             timeline: Some(timeline.to_string_lossy().into_owned()),
-            degrade: false,
-            partition: None,
             threads: None,
             cache_dir: None,
         })
@@ -2151,16 +2115,16 @@ process b time=8 { z := p * q; }
         // A daemon-internal failure (worker panic, wire 500) gets its
         // own exit code so operators can distinguish "the daemon
         // crashed on this job" from ordinary service pushback.
-        let internal = serve_to_cli(ServeError::Internal("scheduler panicked".into()));
+        let internal = CliError::from(ServeError::Internal("scheduler panicked".into()));
         assert_eq!(internal.exit_code(), 12);
         assert!(internal.to_string().contains("internal/500"));
-        let too_large = serve_to_cli(ServeError::TooLarge { limit: 1024 });
+        let too_large = CliError::from(ServeError::TooLarge { limit: 1024 });
         assert_eq!(too_large.exit_code(), 11);
         assert!(too_large.to_string().contains("too-large/413"));
         // An unknown-action rejection (wire code 404) is pinned to the
         // same fold: a version-skewed daemon exits 11, never something
         // that collides with a scheduling failure.
-        let skew = serve_to_cli(ServeError::UnknownAction("frobnicate".into()));
+        let skew = CliError::from(ServeError::UnknownAction("frobnicate".into()));
         assert_eq!(skew.exit_code(), 11);
         assert!(skew.to_string().contains("unknown-action/404"));
     }
@@ -2174,16 +2138,15 @@ process b time=8 { z := p * q; }
         std::fs::write(&design, SAMPLE).unwrap();
         let cmd = |cache: bool| Command::Schedule {
             input: design.to_string_lossy().into_owned(),
-            all_global: Some(2),
-            globals: vec![],
-            gantt: false,
-            verify: 1,
+            opts: ScheduleOptions {
+                all_global: Some(2),
+                verify: 1,
+                ..ScheduleOptions::default()
+            },
             save: None,
             trace: None,
             metrics: false,
             timeline: None,
-            degrade: false,
-            partition: None,
             threads: None,
             cache_dir: cache.then(|| dir.join("cache").to_string_lossy().into_owned()),
         };

@@ -10,9 +10,14 @@ use std::process::{Command as Proc, Stdio};
 use std::sync::{Arc, Barrier};
 
 use tcms::cli::{run, Command};
+use tcms::ir::display::to_dfg;
+use tcms::ir::generators::{random_system, RandomSystemConfig};
 use tcms::obs::json::JsonValue;
-use tcms::serve::client::{control_request_line, schedule_request_line};
-use tcms::serve::{Client, ScheduleOptions, ServeConfig, Server};
+use tcms::serve::client::{control_request_line, schedule_request_line, simulate_request_line};
+use tcms::serve::{
+    simulate_request, Client, ExecContext, ScheduleOptions, ServeConfig, Server, SimulateOptions,
+    DEFAULT_AUTO_PARTITION_OPS,
+};
 
 fn corpus_files() -> Vec<std::path::PathBuf> {
     let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
@@ -89,47 +94,98 @@ fn corpus_replays_get_typed_malformed_errors() {
     server.wait().unwrap();
 }
 
-/// The daemon's schedule output must match the one-shot CLI byte for
-/// byte, on the cold-cache miss AND on the warm-cache hit.
+/// The daemon's schedule and simulate outputs must match the one-shot
+/// CLI byte for byte, on the cold-cache miss AND on the warm-cache hit.
 #[test]
 fn daemon_output_is_bit_identical_to_one_shot_cli() {
     let input = design_path("paper_table1.dfg");
-    let one_shot = run(&Command::Schedule {
-        input: input.clone(),
-        all_global: Some(5),
-        globals: vec![],
-        gantt: true,
-        verify: 2,
-        save: None,
-        trace: None,
-        metrics: false,
-        timeline: None,
-        degrade: false,
-        partition: None,
-        threads: None,
-        cache_dir: None,
-    })
-    .unwrap();
-
-    let server = start_server();
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let design = std::fs::read_to_string(&input).unwrap();
     let opts = ScheduleOptions {
         all_global: Some(5),
         gantt: true,
         verify: 2,
         ..ScheduleOptions::default()
     };
-    for (round, expected_cache) in [("cold", "miss"), ("warm", "hit")] {
-        let resp = client
-            .request(&schedule_request_line(round, &design, &opts, None))
-            .expect("response arrives");
-        assert!(resp.is_ok(), "{round}: {resp:?}");
-        assert_eq!(resp.cache(), Some(expected_cache), "{round}");
-        assert_eq!(resp.output(), Some(one_shot.as_str()), "{round}");
+    let sim_opts = SimulateOptions {
+        all_global: Some(5),
+        horizon: 2_000,
+        ..SimulateOptions::default()
+    };
+    let schedule = run(&Command::Schedule {
+        input: input.clone(),
+        opts: opts.clone(),
+        save: None,
+        trace: None,
+        metrics: false,
+        timeline: None,
+        threads: None,
+        cache_dir: None,
+    })
+    .unwrap();
+    let simulate = run(&Command::Simulate {
+        input: input.clone(),
+        opts: sim_opts.clone(),
+        faults: None,
+        threads: None,
+    })
+    .unwrap();
+
+    let design = std::fs::read_to_string(&input).unwrap();
+    let request = |kind: &str, id: &str| match kind {
+        "schedule" => schedule_request_line(id, &design, &opts, None),
+        _ => simulate_request_line(id, &design, &sim_opts, None),
+    };
+    // Both requests share one schedule cache key, so each gets its own
+    // daemon to start cold.
+    for (kind, one_shot) in [("schedule", &schedule), ("simulate", &simulate)] {
+        let server = start_server();
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for (round, expected_cache) in [("cold", "miss"), ("warm", "hit")] {
+            let resp = client
+                .request(&request(kind, round))
+                .expect("response arrives");
+            assert!(resp.is_ok(), "{kind} {round}: {resp:?}");
+            assert_eq!(resp.cache(), Some(expected_cache), "{kind} {round}");
+            assert_eq!(resp.output(), Some(one_shot.as_str()), "{kind} {round}");
+        }
+        server.shutdown();
+        server.wait().unwrap();
     }
-    server.shutdown();
-    server.wait().unwrap();
+}
+
+/// On a design past the automatic partition threshold, one-shot
+/// `tcms simulate` takes its schedule from the same pipeline as a
+/// daemon's `simulate`, so the two render the same bytes.
+#[test]
+fn one_shot_simulate_of_a_partitioned_design_matches_the_pipeline() {
+    let cfg = RandomSystemConfig {
+        processes: 24,
+        blocks_per_process: 1,
+        layers: 6,
+        ops_per_layer: (3, 5),
+        edge_prob: 0.35,
+        slack: 2.0,
+        type_weights: [4, 1, 2],
+    };
+    let (system, _) = random_system(&cfg, 2).unwrap();
+    assert!(system.num_ops() >= DEFAULT_AUTO_PARTITION_OPS);
+    let design = to_dfg(&system);
+    let path = std::env::temp_dir().join(format!("tcms_e2e_large_{}.dfg", std::process::id()));
+    std::fs::write(&path, &design).unwrap();
+    let opts = SimulateOptions {
+        all_global: Some(4),
+        horizon: 1_000,
+        ..SimulateOptions::default()
+    };
+    let one_shot = run(&Command::Simulate {
+        input: path.to_string_lossy().into_owned(),
+        opts: opts.clone(),
+        faults: None,
+        threads: None,
+    })
+    .unwrap();
+    let _ = std::fs::remove_file(&path);
+    let piped = simulate_request(&design, &opts, &ExecContext::default()).unwrap();
+    assert_eq!(one_shot, piped.text);
 }
 
 /// Two identical requests fired simultaneously must produce exactly one
@@ -701,4 +757,63 @@ fn client_timeout_flag_fails_fast_on_dead_addresses() {
     .expect_err("no daemon there");
     assert!(started.elapsed() < std::time::Duration::from_secs(5));
     assert_eq!(err.exit_code(), 3, "transport failures are I/O errors");
+}
+
+/// A persistent accept error must not spin a core. Under `ulimit -n 24`
+/// the daemon runs out of descriptors while more connections wait in
+/// the backlog, so every `accept` fails with EMFILE until one closes;
+/// the accept loop backs off between attempts instead of retrying at
+/// once.
+#[cfg(target_os = "linux")]
+#[test]
+fn accept_errors_back_off_instead_of_spinning() {
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    /// utime + stime of `pid` in clock ticks (fields 14 and 15 of
+    /// `/proc/<pid>/stat`, counted after the parenthesised name).
+    fn cpu_ticks(pid: u32) -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("stat readable");
+        let fields: Vec<&str> = stat[stat.rfind(')').expect("comm field") + 2..]
+            .split(' ')
+            .collect();
+        fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+    }
+
+    let bin = env!("CARGO_BIN_EXE_tcms");
+    let mut daemon = Proc::new("sh")
+        .args([
+            "-c",
+            &format!("ulimit -n 24; exec '{bin}' serve --listen 127.0.0.1:0 --workers 1"),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("daemon spawns");
+    let mut banner = String::new();
+    BufReader::new(daemon.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("daemon announces itself");
+    let addr = banner
+        .trim()
+        .strip_prefix("tcms-serve listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_owned();
+    // More connections than the daemon has descriptors for; the
+    // surplus completes in the kernel backlog and stays unaccepted.
+    let held: Vec<TcpStream> = (0..30)
+        .map(|_| TcpStream::connect(&addr).expect("backlog accepts"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    let before = cpu_ticks(daemon.id());
+    std::thread::sleep(Duration::from_secs(1));
+    let used = cpu_ticks(daemon.id()) - before;
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    drop(held);
+    // Linux reports these fields in USER_HZ = 100 ticks per second.
+    assert!(
+        used < 20,
+        "daemon used {used} ticks of CPU in 1 s while out of descriptors"
+    );
 }
