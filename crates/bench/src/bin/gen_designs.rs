@@ -1,9 +1,5 @@
 //! Regenerates the checked-in `designs/` inputs from the generators.
 //!
-//! ```text
-//! gen_designs [--ops N] [--processes P] [--seed S] [--out FILE]
-//! ```
-//!
 //! Without flags, rewrites `designs/paper_table1.dfg` from the paper
 //! generator — the historical behavior. With any sizing flag, emits a
 //! seeded synthetic multi-process design of roughly `N` operations
@@ -11,36 +7,30 @@
 //! consumes). The same flags always produce the same bytes.
 
 use tcms_bench::workload::scaling_config;
+use tcms_bench::{Cli, Flag};
 use tcms_ir::generators::random_system;
 
+const CLI: Cli = Cli::new(
+    "regenerates designs/paper_table1.dfg, or a synthetic design with --ops",
+    &[
+        Flag::value("--ops", "N", "emit a synthetic design of about N ops"),
+        Flag::value("--processes", "P", "processes of the synthetic design").or("8"),
+        Flag::value("--seed", "S", "generator seed").or("1"),
+        Flag::value("--out", "FILE", "output path"),
+    ],
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ops: Option<usize> = None;
-    let mut processes = 8usize;
-    let mut seed = 1u64;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        match a.as_str() {
-            "--ops" => ops = Some(next(&mut it, "--ops").parse().expect("bad op count")),
-            "--processes" => {
-                processes = next(&mut it, "--processes")
-                    .parse()
-                    .expect("bad process count");
-            }
-            "--seed" => seed = next(&mut it, "--seed").parse().expect("bad seed"),
-            "--out" => out = Some(next(&mut it, "--out")),
-            other => panic!("unknown flag `{other}`"),
-        }
-    }
+    let args = CLI.parse_env();
+    let ops: Option<usize> = args.value("--ops");
+    let processes: usize = args.get("--processes");
+    let seed: u64 = args.get("--seed");
+    let out: Option<String> = args.value("--out");
 
     if let Some(ops) = ops {
-        assert!(ops > 0 && processes > 0, "sizes must be positive");
+        if ops == 0 || processes == 0 {
+            args.fail("--ops and --processes must be positive");
+        }
         let cfg = scaling_config(ops, processes);
         let (sys, _) = random_system(&cfg, seed).expect("synthetic system builds");
         let path =

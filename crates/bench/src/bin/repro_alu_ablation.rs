@@ -6,7 +6,7 @@
 //! type used by both the addition and subtraction operations — the
 //! scheduler and the authorization machinery need no changes.
 
-use tcms_bench::{ObsSession, TextTable};
+use tcms_bench::{Cli, ObsSession, TextTable};
 use tcms_core::{ModuloScheduler, SharingSpec};
 use tcms_ir::generators::{add_diffeq_process, add_ewf_process, PaperTypes};
 use tcms_ir::{ResourceLibrary, ResourceType, SystemBuilder};
@@ -35,8 +35,10 @@ fn alu_system() -> (tcms_ir::System, PaperTypes) {
     (b.build().expect("feasible"), types)
 }
 
+const CLI: Cli = Cli::new("merged add/sub ALU library under global sharing", &[]).with_obs();
+
 fn main() {
-    let obs = ObsSession::from_env_args();
+    let obs = ObsSession::new(&CLI.parse_env());
     let (split_sys, split_types) = tcms_ir::generators::paper_system().expect("builds");
     let (alu_sys, alu_types) = alu_system();
 

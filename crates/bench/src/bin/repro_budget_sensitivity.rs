@@ -7,7 +7,7 @@
 //! the one-resource-per-type-and-process floor by a large factor — holds
 //! across every plausible reading of the garbled numbers.
 
-use tcms_bench::{ObsSession, TextTable};
+use tcms_bench::{Cli, ObsSession, TextTable};
 use tcms_core::{ModuloScheduler, SharingSpec};
 use tcms_ir::generators::{add_diffeq_process, add_ewf_process, paper_library};
 use tcms_ir::SystemBuilder;
@@ -23,8 +23,10 @@ fn build(ewf_t: u32, ewf3_t: u32, diffeq_t: u32) -> tcms_ir::System {
     b.build().expect("feasible budgets")
 }
 
+const CLI: Cli = Cli::new("Table 1 across readings of the time budgets", &[]).with_obs();
+
 fn main() {
-    let obs = ObsSession::from_env_args();
+    let obs = ObsSession::new(&CLI.parse_env());
     let mut t = TextTable::new();
     t.row(["T(P1,P2)", "T(P3)", "T(P4,P5)", "global", "local", "ratio"]);
     t.sep();

@@ -5,10 +5,6 @@
 //! panic marker that exercises worker supervision. The run is
 //! summarized into `BENCH_chaos.json`.
 //!
-//! ```text
-//! repro_chaos [--seeds N] [--requests N] [--out FILE]
-//! ```
-//!
 //! The harness asserts the failure model's core claims at every seed:
 //!
 //! * **zero wrong answers** — every completed schedule response is
@@ -26,6 +22,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use tcms_bench::{Cli, Flag};
 use tcms_obs::json::{self, JsonValue};
 use tcms_serve::{
     pipeline, render_stats, Client, ExecContext, RetryPolicy, ScheduleOptions, ServeClient,
@@ -261,26 +258,23 @@ fn run_seed(seed: u64, requests_per_client: usize) -> (Tally, BTreeMap<String, J
     (tally, doc)
 }
 
+const CLI: Cli = Cli::new(
+    "the serve daemon behind a seeded fault proxy, with deliberate worker panics",
+    &[
+        Flag::value("--seeds", "N", "fault-proxy seeds to run").or("3"),
+        Flag::value("--requests", "N", "requests per client per seed").or("9"),
+        Flag::value("--out", "FILE", "report path").or("BENCH_chaos.json"),
+    ],
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds = 3u64;
-    let mut requests = 9usize;
-    let mut out_path = "BENCH_chaos.json".to_owned();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        match a.as_str() {
-            "--seeds" => seeds = next(&mut it, "--seeds").parse().expect("bad count"),
-            "--requests" => requests = next(&mut it, "--requests").parse().expect("bad count"),
-            "--out" => out_path = next(&mut it, "--out"),
-            other => panic!("unknown flag `{other}`"),
-        }
+    let args = CLI.parse_env();
+    let seeds: u64 = args.get("--seeds");
+    let requests: usize = args.get("--requests");
+    let out_path: String = args.get("--out");
+    if seeds == 0 || requests == 0 {
+        args.fail("--seeds and --requests must be positive");
     }
-    assert!(seeds > 0 && requests > 0, "counts must be positive");
 
     // The marked workload panics *on purpose*, many times per run; keep
     // the default hook for everything else so a real bug still prints.

@@ -1,42 +1,25 @@
-//! Exact-search node throughput across system sizes, single-threaded.
+//! Exact-search node throughput across system sizes.
 //!
 //! The branch-and-bound's admissible bound is maintained incrementally
 //! on DFS push/pop (DESIGN.md §8); its per-node cost no longer grows
 //! with `ops × time_range`. Running this study against a build of the
 //! from-scratch bound shows the gap widening with system size — the
 //! per-node win is superlinear, not a constant factor.
-//!
-//! ```text
-//! repro_exact_throughput [--node-cap N]
-//! ```
-//!
-//! Sequential on purpose: node throughput is a per-node-cost metric and
-//! the parallel root split changes node counts, so threads would blur
-//! the comparison. See `repro_thread_scaling` for the multicore study.
 
 use std::time::Instant;
 
+use tcms_bench::{Cli, Flag};
 use tcms_core::exact::exact_schedule;
 use tcms_core::SharingSpec;
 use tcms_ir::generators::{random_system, RandomSystemConfig};
 
+const CLI: Cli = Cli::new(
+    "exact-search node throughput across system sizes",
+    &[Flag::value("--node-cap", "N", "node budget per search").or("50000000")],
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut node_cap = 50_000_000u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--node-cap" => {
-                node_cap = it
-                    .next()
-                    .expect("--node-cap needs a count")
-                    .parse()
-                    .expect("--node-cap needs a number");
-            }
-            other => panic!("unknown flag `{other}`"),
-        }
-    }
-    rayon::set_num_threads(1);
+    let node_cap: u64 = CLI.parse_env().get("--node-cap");
 
     println!("layers  ops  seed      nodes  complete       wall    nodes/s");
     for &(layers, per_layer) in &[(2, 2), (3, 2), (4, 2), (4, 3), (5, 3)] {

@@ -13,7 +13,7 @@
 //! is bit-identical across invocations — see EXPERIMENTS.md §"Fault
 //! injection".
 
-use tcms_bench::{ObsSession, TextTable};
+use tcms_bench::{Cli, ObsSession, TextTable};
 use tcms_core::{ModuloScheduler, SharingSpec};
 use tcms_ir::generators::paper_system;
 use tcms_sim::{FaultPlan, SimConfig, Simulator, Trigger};
@@ -51,8 +51,10 @@ fn plan_rows() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
+const CLI: Cli = Cli::new("fault-injection sweep over the Table-1 system", &[]).with_obs();
+
 fn main() {
-    let obs = ObsSession::from_env_args();
+    let obs = ObsSession::new(&CLI.parse_env());
     let (system, _) = paper_system().expect("paper system builds");
     let spec = SharingSpec::all_global(&system, 5);
     let outcome = ModuloScheduler::new(&system, spec.clone())

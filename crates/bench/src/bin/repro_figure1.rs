@@ -1,11 +1,12 @@
 //! Regenerates Figure 1 of the paper: the periodic access-authorization
 //! mapping of one process onto a globally shared resource type.
-//!
-//! Accepts the observability flags `--trace <file.json>`, `--timeline
-//! <file.jsonl>`, `--metrics` (see `tcms_bench::obs`).
+
+use tcms_bench::{Cli, ObsSession};
+
+const CLI: Cli = Cli::new("Figure 1: periodic access-authorization mapping", &[]).with_obs();
 
 fn main() {
-    let obs = tcms_bench::ObsSession::from_env_args();
+    let obs = ObsSession::new(&CLI.parse_env());
     let fig = tcms_bench::run_figure1_recorded(obs.recorder());
     print!("{}", fig.rendered);
     obs.finish();

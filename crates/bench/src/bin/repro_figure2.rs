@@ -1,12 +1,13 @@
 //! Regenerates Figure 2 of the paper: per-placement forces of the
 //! unmodified and the first-part-modified IFDS algorithm on the
 //! two-operation block, showing the periodic-alignment preference.
-//!
-//! Accepts the observability flags `--trace <file.json>`, `--timeline
-//! <file.jsonl>`, `--metrics` (see `tcms_bench::obs`).
+
+use tcms_bench::{Cli, ObsSession};
+
+const CLI: Cli = Cli::new("Figure 2: unmodified vs. modified force ratings", &[]).with_obs();
 
 fn main() {
-    let obs = tcms_bench::ObsSession::from_env_args();
+    let obs = ObsSession::new(&CLI.parse_env());
     let fig = tcms_bench::run_figure2_recorded(obs.recorder());
     print!("{}", fig.rendered);
     obs.finish();

@@ -1,11 +1,6 @@
 //! Distributed-fleet study: an in-process 3-node `tcms serve` fleet is
 //! exercised end to end and summarized into `BENCH_fleet.json`.
 //!
-//! ```text
-//! repro_fleet [--quick] [--requests N] [--designs N] [--alpha F]
-//!             [--seed N] [--out FILE]
-//! ```
-//!
 //! Three phases, each a claim from `DESIGN.md` §14:
 //!
 //! 1. **One logical cache** — a spec scheduled anywhere in the fleet is
@@ -33,6 +28,7 @@ use std::net::TcpListener;
 use std::time::Instant;
 
 use tcms_bench::workload::{draw, make_design, percentile, zipf_cdf};
+use tcms_bench::{Cli, Flag};
 use tcms_obs::json::{self, JsonValue};
 use tcms_obs::NoopRecorder;
 use tcms_serve::fleet::sync;
@@ -479,34 +475,33 @@ fn phase_chaos_rejoin(requests: usize, seed: u64, doc: &mut BTreeMap<String, Jso
     }
 }
 
+const CLI: Cli = Cli::new(
+    "a three-node fleet: one logical cache, hit rate vs. nodes, chaos rejoin",
+    &[
+        Flag::switch("--quick", "CI-sized run (60 requests, 8 designs)"),
+        Flag::value("--requests", "N", "requests per phase (default 300)"),
+        Flag::value("--designs", "N", "distinct designs (default 12)"),
+        Flag::value("--alpha", "F", "Zipf skew of the stream").or("1.1"),
+        Flag::value("--seed", "N", "workload seed").or("7"),
+        Flag::value("--out", "FILE", "report path").or("BENCH_fleet.json"),
+    ],
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut requests = 300usize;
-    let mut designs = 12usize;
-    let mut alpha = 1.1f64;
-    let mut seed = 7u64;
-    let mut out_path = "BENCH_fleet.json".to_owned();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        match a.as_str() {
-            "--quick" => {
-                requests = 60;
-                designs = 8;
-            }
-            "--requests" => requests = next(&mut it, "--requests").parse().expect("bad count"),
-            "--designs" => designs = next(&mut it, "--designs").parse().expect("bad count"),
-            "--alpha" => alpha = next(&mut it, "--alpha").parse().expect("bad alpha"),
-            "--seed" => seed = next(&mut it, "--seed").parse().expect("bad seed"),
-            "--out" => out_path = next(&mut it, "--out"),
-            other => panic!("unknown flag `{other}`"),
-        }
+    let args = CLI.parse_env();
+    let quick = args.switch("--quick");
+    let requests = args
+        .value("--requests")
+        .unwrap_or(if quick { 60usize } else { 300 });
+    let designs = args
+        .value("--designs")
+        .unwrap_or(if quick { 8usize } else { 12 });
+    let alpha: f64 = args.get("--alpha");
+    let seed: u64 = args.get("--seed");
+    let out_path: String = args.get("--out");
+    if requests == 0 || designs == 0 {
+        args.fail("--requests and --designs must be positive");
     }
-    assert!(requests > 0 && designs > 0, "counts must be positive");
 
     let mut doc = BTreeMap::new();
     doc.insert(

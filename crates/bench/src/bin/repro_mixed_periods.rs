@@ -3,13 +3,15 @@
 //! lcm up — the paper notes that only combinations complying with the
 //! grid spacings survive the equation-3 filter.
 
-use tcms_bench::{ObsSession, TextTable};
+use tcms_bench::{Cli, ObsSession, TextTable};
 use tcms_core::period::{combined_spacing, is_harmonic, spacing_feasible};
 use tcms_core::{ModuloScheduler, SharingSpec};
 use tcms_ir::generators::paper_system;
 
+const CLI: Cli = Cli::new("non-uniform period assignments (equations 2-3)", &[]).with_obs();
+
 fn main() {
-    let obs = ObsSession::from_env_args();
+    let obs = ObsSession::new(&CLI.parse_env());
     let (system, types) = paper_system().expect("paper system builds");
     let mut t = TextTable::new();
     t.row([

@@ -3,41 +3,28 @@
 //!
 //! The paper gives no optimality evidence (FDS is a heuristic); this
 //! study quantifies the gap where exhaustive search is tractable.
-//!
-//! `--node-cap <N>` bounds the exact search (systems that do not finish
-//! under the cap are skipped); `--seeds <N>` sets how many random
-//! systems are tried. CI runs a small-cap smoke configuration.
+//! Systems whose exact search does not finish under the node cap are
+//! skipped. CI runs a small-cap smoke configuration.
 
-use tcms_bench::{ObsSession, TextTable};
+use tcms_bench::{Cli, Flag, ObsSession, TextTable};
 use tcms_core::exact::exact_schedule;
 use tcms_core::{ModuloScheduler, SharingSpec};
 use tcms_ir::generators::{random_system, RandomSystemConfig};
 
+const CLI: Cli = Cli::new(
+    "coupled heuristic vs. exact optimum on tiny random systems",
+    &[
+        Flag::value("--node-cap", "N", "exact-search node budget per system").or("5000000"),
+        Flag::value("--seeds", "N", "random systems to try").or("20"),
+    ],
+)
+.with_obs();
+
 fn main() {
-    let obs = ObsSession::from_env_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut node_cap = 5_000_000u64;
-    let mut seeds = 20u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--node-cap" => {
-                node_cap = it
-                    .next()
-                    .expect("--node-cap needs a count")
-                    .parse()
-                    .expect("--node-cap needs a number");
-            }
-            "--seeds" => {
-                seeds = it
-                    .next()
-                    .expect("--seeds needs a count")
-                    .parse()
-                    .expect("--seeds needs a number");
-            }
-            _ => {} // observability flags already handled by ObsSession
-        }
-    }
+    let args = CLI.parse_env();
+    let obs = ObsSession::new(&args);
+    let node_cap: u64 = args.get("--node-cap");
+    let seeds: u64 = args.get("--seeds");
     let cfg = RandomSystemConfig {
         processes: 2,
         blocks_per_process: 1,

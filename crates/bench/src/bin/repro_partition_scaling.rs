@@ -1,11 +1,6 @@
 //! Partition-scaling study: feedback-guided subgraph decomposition
 //! versus the monolithic scheduler on a large synthetic spec.
 //!
-//! ```text
-//! repro_partition_scaling [--quick] [--ops N] [--processes P] [--seed S]
-//!                         [--repeats N] [--threads-list 1,2,4] [--out FILE]
-//! ```
-//!
 //! For every thread count the study times both paths (best-of-N; the
 //! minimum is the right statistic for a determinism-preserving study —
 //! noise only adds time) and asserts two invariants the decomposition
@@ -27,6 +22,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use tcms_bench::workload::scaling_config;
+use tcms_bench::{Cli, Flag};
 use tcms_core::{schedule_partitioned, ModuloScheduler, PartitionConfig, SharingSpec};
 use tcms_fds::FdsConfig;
 use tcms_ir::generators::random_system;
@@ -35,49 +31,33 @@ use tcms_obs::json::{self, JsonValue};
 /// Acceptance bound on (partitioned − monolithic) / monolithic area.
 const QUALITY_GAP_BOUND: f64 = 0.05;
 
+const CLI: Cli = Cli::new(
+    "partitioned vs. monolithic scheduling of a large synthetic spec",
+    &[
+        Flag::switch("--quick", "CI-sized spec: 320 ops unless --ops is given"),
+        Flag::value("--ops", "N", "approximate operation count (default 600)"),
+        Flag::value("--processes", "P", "processes").or("8"),
+        Flag::value("--seed", "S", "generator seed").or("1"),
+        Flag::value("--repeats", "N", "best-of-N timing").or("1"),
+        Flag::value("--threads-list", "N,N,...", "thread counts to time").or("1,2,4"),
+        Flag::value("--out", "FILE", "report path").or("BENCH_partition.json"),
+    ],
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ops = 600usize;
-    let mut processes = 8usize;
-    let mut seed = 1u64;
-    let mut repeats = 1usize;
-    let mut thread_list = vec![1usize, 2, 4];
-    let mut out_path = "BENCH_partition.json".to_owned();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        match a.as_str() {
-            "--quick" => {
-                ops = 320;
-                processes = 8;
-            }
-            "--ops" => ops = next(&mut it, "--ops").parse().expect("bad op count"),
-            "--processes" => {
-                processes = next(&mut it, "--processes")
-                    .parse()
-                    .expect("bad process count");
-            }
-            "--seed" => seed = next(&mut it, "--seed").parse().expect("bad seed"),
-            "--repeats" => repeats = next(&mut it, "--repeats").parse().expect("bad count"),
-            "--threads-list" => {
-                thread_list = next(&mut it, "--threads-list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad thread count"))
-                    .collect();
-            }
-            "--out" => out_path = next(&mut it, "--out"),
-            other => panic!("unknown flag `{other}`"),
-        }
+    let args = CLI.parse_env();
+    let quick = args.switch("--quick");
+    let ops = args
+        .value("--ops")
+        .unwrap_or(if quick { 320usize } else { 600 });
+    let processes: usize = args.get("--processes");
+    let seed: u64 = args.get("--seed");
+    let repeats: usize = args.get("--repeats");
+    let thread_list: Vec<usize> = args.list("--threads-list");
+    let out_path: String = args.get("--out");
+    if ops == 0 || processes == 0 || repeats == 0 {
+        args.fail("--ops, --processes and --repeats must be positive");
     }
-    assert!(
-        ops > 0 && processes > 0 && repeats > 0,
-        "sizes are positive"
-    );
-    assert!(!thread_list.is_empty(), "need at least one thread count");
 
     let (sys, _) = random_system(&scaling_config(ops, processes), seed).expect("system builds");
     let spec = SharingSpec::all_global(&sys, 4);

@@ -3,17 +3,22 @@
 //! invocation grid of reactive processes.
 //!
 //! Candidate periods are scheduled in parallel (the runs are independent;
-//! output order and results are deterministic). Pass `--stats` to also
-//! print per-period engine instrumentation, and/or the observability
-//! flags `--trace <file.json>`, `--timeline <file.jsonl>`, `--metrics`.
+//! output order and results are deterministic).
 
-use tcms_bench::{render_stats, stats_requested, ObsSession, TextTable};
+use tcms_bench::{render_stats, Cli, Flag, ObsSession, TextTable};
 use tcms_core::explore::sweep_uniform_periods_recorded;
 use tcms_fds::FdsConfig;
 use tcms_ir::generators::paper_system;
 
+const CLI: Cli = Cli::new(
+    "the section 3.2 uniform-period trade-off on the Table-1 system",
+    &[Flag::switch("--stats", "print per-period engine stats")],
+)
+.with_obs();
+
 fn main() {
-    let obs = ObsSession::from_env_args();
+    let args = CLI.parse_env();
+    let obs = ObsSession::new(&args);
     let (system, types) = paper_system().expect("paper system builds");
     let points =
         sweep_uniform_periods_recorded(&system, 1..=15, &FdsConfig::default(), obs.recorder())
@@ -44,7 +49,7 @@ fn main() {
     print!("{}", t.render());
     println!("\nLarger periods widen the sharing window but also the block start grid");
     println!("(spacing column) — the twofold impact discussed in section 3.2.");
-    if stats_requested() {
+    if args.switch("--stats") {
         println!("\nengine instrumentation:");
         for p in &points {
             print!(

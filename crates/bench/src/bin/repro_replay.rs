@@ -2,11 +2,6 @@
 //! through fresh daemons and prove the responses are **bit-identical**
 //! to the one-shot pipeline, at every worker count.
 //!
-//! ```text
-//! repro_replay [--journal FILE] [--requests N] [--designs N] [--seed N]
-//!              [--out FILE]
-//! ```
-//!
 //! Two modes:
 //!
 //! * `--journal PATH` replays an existing journal (captured by
@@ -34,6 +29,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use tcms_bench::workload::{percentile, synthetic_requests};
+use tcms_bench::{Cli, Flag};
 use tcms_fds::RunBudget;
 use tcms_obs::json::{self, JsonValue};
 use tcms_obs::NoopRecorder;
@@ -291,36 +287,29 @@ fn sweep(
     JsonValue::Object(section)
 }
 
+const CLI: Cli = Cli::new(
+    "replays a workload journal through fresh daemons and checks bit-identity",
+    &[
+        Flag::value("--journal", "PATH", "replay this journal file or directory"),
+        Flag::value("--requests", "N", "synthetic requests per sweep").or("120"),
+        Flag::value("--designs", "N", "synthetic designs").or("10"),
+        Flag::value("--seed", "N", "workload seed").or("7"),
+        Flag::value("--cache-capacity", "N", "daemon cache capacity, 0 = auto").or("0"),
+        Flag::value("--out", "FILE", "report path").or("BENCH_replay.json"),
+    ],
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut journal: Option<String> = None;
-    let mut requests = 120usize;
-    let mut designs = 10usize;
-    let mut seed = 7u64;
-    let mut cache_capacity = 0usize; // 0 = auto
-    let mut out_path = "BENCH_replay.json".to_owned();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        match a.as_str() {
-            "--journal" => journal = Some(next(&mut it, "--journal")),
-            "--requests" => requests = next(&mut it, "--requests").parse().expect("bad count"),
-            "--designs" => designs = next(&mut it, "--designs").parse().expect("bad count"),
-            "--seed" => seed = next(&mut it, "--seed").parse().expect("bad seed"),
-            "--cache-capacity" => {
-                cache_capacity = next(&mut it, "--cache-capacity")
-                    .parse()
-                    .expect("bad count");
-            }
-            "--out" => out_path = next(&mut it, "--out"),
-            other => panic!("unknown flag `{other}`"),
-        }
+    let args = CLI.parse_env();
+    let journal: Option<String> = args.value("--journal");
+    let requests: usize = args.get("--requests");
+    let designs: usize = args.get("--designs");
+    let seed: u64 = args.get("--seed");
+    let cache_capacity: usize = args.get("--cache-capacity");
+    let out_path: String = args.get("--out");
+    if requests == 0 || designs == 0 {
+        args.fail("--requests and --designs must be positive");
     }
-    assert!(requests > 0 && designs > 0, "counts must be positive");
 
     let mut expected: BTreeMap<String, Outcome> = BTreeMap::new();
     let mut workloads = BTreeMap::new();

@@ -1,15 +1,14 @@
 //! Ablation of step (S1): every local/global combination of the three
 //! resource types on the Table-1 system.
-//!
-//! Accepts the observability flags `--trace <file.json>`, `--timeline
-//! <file.jsonl>`, `--metrics` (see `tcms_bench::obs`).
 
-use tcms_bench::{ObsSession, TextTable};
+use tcms_bench::{Cli, ObsSession, TextTable};
 use tcms_core::{ModuloScheduler, SharingSpec};
 use tcms_ir::generators::paper_system;
 
+const CLI: Cli = Cli::new("every local/global split of the three types (S1)", &[]).with_obs();
+
 fn main() {
-    let obs = ObsSession::from_env_args();
+    let obs = ObsSession::new(&CLI.parse_env());
     let (system, types) = paper_system().expect("paper system builds");
     let mut t = TextTable::new();
     t.row(["add", "sub", "mul", "#add", "#sub", "#mul", "area"]);

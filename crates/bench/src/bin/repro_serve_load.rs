@@ -3,11 +3,6 @@
 //! summarized into `BENCH_serve.json` (throughput, latency percentiles,
 //! cache hit rate).
 //!
-//! ```text
-//! repro_serve_load [--clients N] [--requests N] [--workers N] [--out FILE]
-//!                  [--journal-dir DIR]
-//! ```
-//!
 //! `--journal-dir` turns on workload-journal capture during the run —
 //! the A/B against a capture-less run measures the journal's hot-path
 //! overhead, and the captured file feeds `repro_replay --journal`.
@@ -23,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use tcms_bench::{Cli, Flag};
 use tcms_obs::json::{self, JsonValue};
 use tcms_serve::{Client, ServeConfig, Server};
 
@@ -79,30 +75,27 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[idx]
 }
 
+const CLI: Cli = Cli::new(
+    "closed-loop concurrent clients against an in-process serve daemon",
+    &[
+        Flag::value("--clients", "N", "clients, one request in flight each").or("100"),
+        Flag::value("--requests", "N", "requests per client").or("5"),
+        Flag::value("--workers", "N", "daemon workers, 0 = auto").or("0"),
+        Flag::value("--out", "FILE", "report path").or("BENCH_serve.json"),
+        Flag::value("--journal-dir", "DIR", "capture a workload journal"),
+    ],
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut clients = 100usize;
-    let mut requests = 5usize;
-    let mut workers = 0usize;
-    let mut out_path = "BENCH_serve.json".to_owned();
-    let mut journal_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        match a.as_str() {
-            "--clients" => clients = next(&mut it, "--clients").parse().expect("bad count"),
-            "--requests" => requests = next(&mut it, "--requests").parse().expect("bad count"),
-            "--workers" => workers = next(&mut it, "--workers").parse().expect("bad count"),
-            "--out" => out_path = next(&mut it, "--out"),
-            "--journal-dir" => journal_dir = Some(next(&mut it, "--journal-dir")),
-            other => panic!("unknown flag `{other}`"),
-        }
+    let args = CLI.parse_env();
+    let clients: usize = args.get("--clients");
+    let requests: usize = args.get("--requests");
+    let workers: usize = args.get("--workers");
+    let out_path: String = args.get("--out");
+    let journal_dir: Option<String> = args.value("--journal-dir");
+    if clients == 0 || requests == 0 {
+        args.fail("--clients and --requests must be positive");
     }
-    assert!(clients > 0 && requests > 0, "counts must be positive");
 
     let server = Server::start(ServeConfig {
         listen: "127.0.0.1:0".into(),

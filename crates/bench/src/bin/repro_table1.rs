@@ -1,17 +1,21 @@
 //! Regenerates Table 1 of the paper: scheduling results of the
 //! multi-process example (3 elliptical wave filters + 2 diffeq solvers),
 //! modulo-global vs. traditional pure-local assignment.
-//!
-//! Pass `--stats` to also print the engine instrumentation (candidate
-//! force evaluations, incremental-cache hit rates, phase times), and/or
-//! the observability flags `--trace <file.json>`, `--timeline
-//! <file.jsonl>`, `--metrics` (see `tcms_bench::obs`).
+
+use tcms_bench::{Cli, Flag, ObsSession};
+
+const CLI: Cli = Cli::new(
+    "Table 1: modulo-global vs. pure-local assignment",
+    &[Flag::switch("--stats", "print engine stats")],
+)
+.with_obs();
 
 fn main() {
-    let obs = tcms_bench::ObsSession::from_env_args();
+    let args = CLI.parse_env();
+    let obs = ObsSession::new(&args);
     let results = tcms_bench::run_table1_recorded(obs.recorder());
     print!("{}", tcms_bench::render_table1(&results));
-    if tcms_bench::stats_requested() {
+    if args.switch("--stats") {
         println!("\nengine instrumentation:");
         for run in [&results.global, &results.local] {
             print!("  {}", tcms_bench::render_stats(run.label, &run.stats));

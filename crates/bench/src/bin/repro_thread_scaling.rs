@@ -1,11 +1,7 @@
-//! Thread-scaling study: wall time of (a) the Table-1 coupled global
-//! run and (b) the exact branch-and-bound search at 1/2/4/8 worker
-//! threads, asserting that every result is bit-identical to the
-//! sequential reference.
-//!
-//! ```text
-//! repro_thread_scaling [--repeats N] [--threads-list 1,2,4,8]
-//! ```
+//! Thread-scaling study: wall time of the Table-1 coupled global run at
+//! 1/2/4/8 worker threads, asserting that every schedule is bit-identical
+//! to the sequential reference; then the coupled run's wall time as the
+//! system grows from 2 to 8 processes.
 //!
 //! Each row reports the best-of-N wall time (minimum is the right
 //! statistic for a determinism-preserving speedup study — noise only
@@ -15,48 +11,35 @@
 
 use std::time::{Duration, Instant};
 
-use tcms_bench::paper_spec;
-use tcms_core::exact::exact_schedule;
+use tcms_bench::{paper_spec, Cli, Flag};
 use tcms_core::{ModuloScheduler, SharingSpec};
 use tcms_ir::generators::{paper_system, random_system, RandomSystemConfig};
 
+const CLI: Cli = Cli::new(
+    "Table 1 per thread count; coupled run time vs. process count",
+    &[
+        Flag::value("--repeats", "N", "best-of-N timing").or("3"),
+        Flag::value("--threads-list", "N,N,...", "thread counts, with 1").or("1,2,4,8"),
+    ],
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut repeats = 3usize;
-    let mut thread_list = vec![1usize, 2, 4, 8];
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--repeats" => {
-                repeats = it
-                    .next()
-                    .expect("--repeats needs a count")
-                    .parse()
-                    .expect("--repeats needs a number");
-            }
-            "--threads-list" => {
-                thread_list = it
-                    .next()
-                    .expect("--threads-list needs a comma-separated list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad thread count"))
-                    .collect();
-            }
-            other => panic!("unknown flag `{other}`"),
-        }
+    let args = CLI.parse_env();
+    let repeats: usize = args.get("--repeats");
+    let thread_list: Vec<usize> = args.list("--threads-list");
+    if repeats == 0 {
+        args.fail("--repeats must be positive");
     }
-    assert!(repeats > 0, "--repeats must be positive");
-    assert!(
-        thread_list.contains(&1),
-        "the list must include 1 (the sequential reference)"
-    );
+    if !thread_list.contains(&1) {
+        args.fail("--threads-list must include 1 (the sequential reference)");
+    }
 
     println!(
         "available parallelism: {}",
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     );
 
-    // (a) Table-1 coupled global run.
+    // Table-1 coupled global run at every thread count.
     let (system, _) = paper_system().expect("paper system builds");
     let spec = paper_spec(&system);
     rayon::set_num_threads(1);
@@ -90,54 +73,32 @@ fn main() {
         );
     }
 
-    // (b) Exact branch-and-bound on a random two-process system small
-    // enough to complete (truncated searches are not comparable).
-    let cfg = RandomSystemConfig {
-        processes: 2,
-        blocks_per_process: 1,
-        layers: 4,
-        ops_per_layer: (2, 2),
-        edge_prob: 0.5,
-        slack: 2.0,
-        type_weights: [2, 1, 2],
-    };
-    let (sys, _) = random_system(&cfg, 0).expect("feasible");
-    let espec = SharingSpec::all_global(&sys, 2);
-    rayon::set_num_threads(1);
-    let eref = exact_schedule(&sys, &espec, 50_000_000)
-        .expect("valid spec")
-        .expect("feasible");
-    assert!(eref.complete, "study case must fit the node limit");
-    println!(
-        "\nexact search ({} ops, {} nodes sequential):",
-        sys.num_ops(),
-        eref.nodes
-    );
-    let mut ebase = Duration::ZERO;
-    for &n in &thread_list {
-        rayon::set_num_threads(n);
+    rayon::set_num_threads(0);
+
+    // Coupled run vs. system size: random systems of 2/4/8 processes
+    // (the generator's default shape, seed 42), all types global with
+    // period 4.
+    println!("\ncoupled run vs. process count (default threads):");
+    for processes in [2usize, 4, 8] {
+        let cfg = RandomSystemConfig {
+            processes,
+            ..RandomSystemConfig::default()
+        };
+        let (system, _) = random_system(&cfg, 42).expect("feasible");
         let mut best = Duration::MAX;
-        let mut nodes = 0u64;
+        let mut iterations = 0;
         for _ in 0..repeats {
             let started = Instant::now();
-            let out = exact_schedule(&sys, &espec, 50_000_000)
+            let out = ModuloScheduler::new(&system, SharingSpec::all_global(&system, 4))
                 .expect("valid spec")
+                .run()
                 .expect("feasible");
             best = best.min(started.elapsed());
-            nodes = out.nodes;
-            assert_eq!(
-                out, eref,
-                "threads={n}: exact optimum must be bit-identical"
-            );
-        }
-        if n == 1 {
-            ebase = best;
+            iterations = out.iterations;
         }
         println!(
-            "  threads={n}: best-of-{repeats} {best:?}  {:.0} nodes/s  speedup {:.2}x  identical=yes",
-            nodes as f64 / best.as_secs_f64(),
-            ebase.as_secs_f64() / best.as_secs_f64()
+            "  processes={processes}: {} ops, {iterations} iterations, best-of-{repeats} {best:?}",
+            system.num_ops()
         );
     }
-    rayon::set_num_threads(0);
 }

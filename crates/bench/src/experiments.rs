@@ -1,5 +1,4 @@
-//! Reusable experiment runners shared by the `repro_*` binaries, the
-//! criterion benches and the integration tests.
+//! Reusable experiment runners shared by the `repro_*` binaries.
 
 use std::time::{Duration, Instant};
 
@@ -37,12 +36,6 @@ pub struct Table1Run {
     /// Engine instrumentation (candidate evaluations, cache hits, phase
     /// times).
     pub stats: IfdsStats,
-}
-
-/// Whether the invoking binary was passed `--stats` (print engine
-/// instrumentation alongside the reproduction output).
-pub fn stats_requested() -> bool {
-    std::env::args().any(|a| a == "--stats")
 }
 
 /// Renders one engine-instrumentation line for the `--stats` output of the

@@ -1,22 +1,38 @@
 //! Observability plumbing shared by the `repro_*` binaries.
 //!
-//! Every reproduction binary accepts the same flags as
+//! The binaries declared with [`crate::Cli::with_obs`] — `repro_table1`,
+//! `repro_figure1`, `repro_figure2`, `repro_period_sweep`,
+//! `repro_scope_ablation`, `repro_budget_sensitivity`,
+//! `repro_merging_baseline`, `repro_alu_ablation`,
+//! `repro_mixed_periods`, `repro_fault_sweep`, `repro_optimality_gap`
+//! and `repro_all`, which forwards them — accept the same flags as
 //! `tcms schedule`:
 //!
 //! * `--trace <file.json>` — Chrome `trace_event` output
 //!   (Perfetto / about:tracing),
 //! * `--timeline <file.jsonl>` — the JSONL span/event/timeline stream,
 //! * `--metrics` — print the metrics-registry summary table,
-//! * `--threads <N>` — worker threads for partition shards, the period
-//!   search and the exact search (0 = auto; results are bit-identical at
-//!   every thread count).
+//! * `--threads <N>` — worker threads for partition shards and the
+//!   period search (0 = auto; results are bit-identical at every thread
+//!   count).
 //!
-//! A binary constructs one [`ObsSession`] from its arguments, threads
+//! A binary builds one [`ObsSession`] from its parsed arguments, threads
 //! [`ObsSession::recorder`] through the `*_recorded` runners and calls
 //! [`ObsSession::finish`] before exiting. Without any of the flags the
 //! recorder is the no-op recorder and nothing is collected.
 
 use tcms_obs::{NoopRecorder, Recorder, TraceRecorder};
+
+use crate::cli::{Args, Flag};
+
+/// The observability flags, appended to a declaration by
+/// [`crate::Cli::with_obs`].
+pub(crate) const OBS_FLAGS: &[Flag] = &[
+    Flag::value("--trace", "FILE", "write a Chrome trace_event file"),
+    Flag::value("--timeline", "FILE", "write the JSONL span/event stream"),
+    Flag::switch("--metrics", "print the metrics-registry summary"),
+    Flag::value("--threads", "N", "worker threads, 0 = auto"),
+];
 
 /// Per-invocation observability state of a `repro_*` binary.
 #[derive(Debug, Default)]
@@ -28,47 +44,19 @@ pub struct ObsSession {
 }
 
 impl ObsSession {
-    /// Parses `--trace`, `--timeline`, `--metrics` and `--threads` from
-    /// the process arguments. Unknown flags are left for the binary's own
-    /// parsing. `--threads` applies the global worker-thread override
-    /// immediately (see `tcms_fds::threads`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--trace`/`--timeline` is passed without a path or
-    /// `--threads` without a valid count.
-    pub fn from_env_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args)
-    }
-
-    /// [`ObsSession::from_env_args`] on an explicit argument list.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--trace`/`--timeline` is passed without a path or
-    /// `--threads` without a valid count.
-    pub fn from_args(args: &[String]) -> Self {
-        let mut s = ObsSession::default();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--trace" => s.trace = Some(it.next().expect("--trace needs a path").clone()),
-                "--timeline" => {
-                    s.timeline = Some(it.next().expect("--timeline needs a path").clone());
-                }
-                "--metrics" => s.metrics = true,
-                "--threads" => {
-                    let n: usize = it
-                        .next()
-                        .expect("--threads needs a count")
-                        .parse()
-                        .expect("--threads needs a numeric count");
-                    tcms_fds::threads::set(n);
-                }
-                _ => {}
-            }
+    /// Reads the observability flags from `args` (parsed by a
+    /// [`crate::Cli::with_obs`] declaration). `--threads` applies the
+    /// global worker-thread override immediately (see `tcms_fds::threads`).
+    pub fn new(args: &Args) -> Self {
+        if let Some(n) = args.value::<usize>("--threads") {
+            tcms_fds::threads::set(n);
         }
+        let mut s = ObsSession {
+            recorder: None,
+            trace: args.value("--trace"),
+            timeline: args.value("--timeline"),
+            metrics: args.switch("--metrics"),
+        };
         if s.trace.is_some() || s.timeline.is_some() || s.metrics {
             s.recorder = Some(TraceRecorder::new());
         }
@@ -118,14 +106,22 @@ impl ObsSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cli;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| (*s).to_owned()).collect()
+    const CLI: Cli = Cli::new("test", &[Flag::switch("--stats", "stats")]).with_obs();
+
+    fn session(v: &[&str]) -> ObsSession {
+        let argv: Vec<String> = ["repro_test"]
+            .iter()
+            .chain(v)
+            .map(|s| (*s).to_owned())
+            .collect();
+        ObsSession::new(&CLI.parse(&argv).unwrap())
     }
 
     #[test]
     fn no_flags_is_noop() {
-        let s = ObsSession::from_args(&args(&["--stats", "other"]));
+        let s = session(&["--stats"]);
         assert!(!s.enabled());
         assert!(!s.recorder().enabled());
         s.finish(); // writes nothing
@@ -133,13 +129,13 @@ mod tests {
 
     #[test]
     fn flags_arm_the_recorder() {
-        let s = ObsSession::from_args(&args(&["--metrics"]));
+        let s = session(&["--metrics"]);
         assert!(s.enabled());
         assert!(s.recorder().enabled());
-        let s = ObsSession::from_args(&args(&["--trace", "t.json", "--stats"]));
+        let s = session(&["--trace", "t.json", "--stats"]);
         assert!(s.enabled());
         assert_eq!(s.trace.as_deref(), Some("t.json"));
-        let s = ObsSession::from_args(&args(&["--timeline", "t.jsonl"]));
+        let s = session(&["--timeline", "t.jsonl"]);
         assert_eq!(s.timeline.as_deref(), Some("t.jsonl"));
     }
 
@@ -149,7 +145,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("t.json").to_string_lossy().into_owned();
         let timeline = dir.join("t.jsonl").to_string_lossy().into_owned();
-        let s = ObsSession::from_args(&args(&["--trace", &trace, "--timeline", &timeline]));
+        let s = session(&["--trace", &trace, "--timeline", &timeline]);
         {
             let rec = s.recorder();
             let _span = tcms_obs::span!(rec, "test.span", n = 1u64);

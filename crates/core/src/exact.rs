@@ -6,7 +6,7 @@
 //! usage profiles, the area of a partial assignment — plus one instance
 //! for every still-unseen used type — is an admissible bound.
 //!
-//! Used by the tests and the ablation benches to quantify how far the
+//! Used by the tests and the `repro_*` ablations to quantify how far the
 //! coupled force-directed heuristic is from the optimum; it is
 //! exponential and guarded by a node limit.
 //!
@@ -34,24 +34,9 @@
 //! pinned by [`exact_schedule_checked`], which recomputes the naive bound
 //! per node and asserts equality along the whole search.
 //!
-//! # Parallel root split
-//!
-//! With more than one thread, the root operation's start-time frame is
-//! split across workers that share an atomic incumbent area. Each worker
-//! prunes against its own best with `>=` (exactly like the sequential
-//! search) *and* against the shared incumbent with a strict `>`: any
-//! optimal-area subtree therefore survives in whichever worker owns it,
-//! and the index-ordered merge picks the winner of the earliest root
-//! start time — the same schedule the sequential search returns. Only
-//! `nodes` is timing-dependent in parallel mode, which is why it is
-//! excluded from [`ExactOutcome`] equality.
-//!
-//! The bit-identity guarantee covers *complete* searches. When the node
-//! limit trips (`complete == false`), the budget is consumed at a
-//! timing-dependent frontier, so a truncated result may differ between
-//! thread counts — it is only an upper bound either way.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The search is sequential at every thread count, so the outcome —
+//! node count included, and also when the node limit cuts the search —
+//! depends only on the system, the spec and the limit.
 
 use tcms_fds::Schedule;
 use tcms_ir::{FrameTable, OpId, ProcessId, ResourceTypeId, System};
@@ -60,11 +45,7 @@ use crate::assign::SharingSpec;
 use crate::error::CoreError;
 
 /// Result of an exact search.
-///
-/// Equality ignores `nodes`: with a parallel root split the node count
-/// depends on incumbent timing, while schedule, area and completeness are
-/// deterministic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactOutcome {
     /// The best schedule found.
     pub schedule: Schedule,
@@ -76,16 +57,6 @@ pub struct ExactOutcome {
     /// an upper bound, not a proven optimum).
     pub complete: bool,
 }
-
-impl PartialEq for ExactOutcome {
-    fn eq(&self, other: &Self) -> bool {
-        self.schedule == other.schedule
-            && self.area == other.area
-            && self.complete == other.complete
-    }
-}
-
-impl Eq for ExactOutcome {}
 
 /// Per-`(block, type)` usage profile folded modulo `period`, maintained
 /// incrementally: `hist[slot][v]` counts time steps of the slot class at
@@ -148,7 +119,6 @@ impl SlotProfile {
 
 /// Static per-type facts the bound needs, resolved once per search so the
 /// per-node recompute allocates nothing and scans nothing op-shaped.
-#[derive(Clone)]
 struct TypeInfo {
     area: u64,
     /// Sharing group (empty when the type is nowhere global).
@@ -161,7 +131,6 @@ struct TypeInfo {
 }
 
 /// Incrementally maintained lower-bound state.
-#[derive(Clone)]
 struct Bounds<'a> {
     system: &'a System,
     num_types: usize,
@@ -329,12 +298,6 @@ impl<'a> Bounds<'a> {
     }
 }
 
-/// Incumbent area and node budget shared by the root-split workers.
-struct SharedSearch {
-    incumbent: AtomicU64,
-    nodes: AtomicU64,
-}
-
 struct Search<'a> {
     system: &'a System,
     frames: &'a FrameTable,
@@ -344,28 +307,16 @@ struct Search<'a> {
     best: Option<(u64, Vec<Option<u32>>)>,
     nodes: u64,
     node_limit: u64,
-    shared: Option<&'a SharedSearch>,
     /// Assert the incremental bound against the from-scratch bound at
     /// every node (the equivalence oracle; test/bench use only).
     check_bounds: bool,
 }
 
 impl Search<'_> {
-    /// Counts a node against the (local or shared) budget; `true` means
-    /// the limit is exhausted and the search must unwind.
-    fn count_node(&mut self) -> bool {
-        self.nodes += 1;
-        match self.shared {
-            None => self.nodes > self.node_limit,
-            Some(sh) => sh.nodes.fetch_add(1, Ordering::Relaxed) + 1 > self.node_limit,
-        }
-    }
-
+    /// `true` once the node budget is exhausted and the search must
+    /// unwind.
     fn limit_hit(&self) -> bool {
-        match self.shared {
-            None => self.nodes > self.node_limit,
-            Some(sh) => sh.nodes.load(Ordering::Relaxed) > self.node_limit,
-        }
+        self.nodes > self.node_limit
     }
 
     /// From-scratch reference bound, kept verbatim from the
@@ -444,7 +395,8 @@ impl Search<'_> {
     }
 
     fn dfs(&mut self, depth: usize, spec: &SharingSpec) {
-        if self.count_node() {
+        self.nodes += 1;
+        if self.limit_hit() {
             return;
         }
         let bound = self.bounds.lower_bound();
@@ -456,18 +408,8 @@ impl Search<'_> {
                 return;
             }
         }
-        if let Some(sh) = self.shared {
-            // Strict `>` keeps every optimal-area subtree alive in its
-            // owning worker, making the merged winner deterministic.
-            if bound > sh.incumbent.load(Ordering::Relaxed) {
-                return;
-            }
-        }
         if depth == self.order.len() {
             self.best = Some((bound, self.starts.clone()));
-            if let Some(sh) = self.shared {
-                sh.incumbent.fetch_min(bound, Ordering::Relaxed);
-            }
             return;
         }
         let o = self.order[depth];
@@ -496,10 +438,7 @@ impl Search<'_> {
 ///
 /// `node_limit` bounds the search; when it is hit, the best schedule found
 /// so far is returned with `complete == false` (or `None` if nothing was
-/// completed yet). With more than one resolved thread (see
-/// `tcms_fds::threads`), the root frame is split across workers sharing
-/// the incumbent; schedule, area and completeness are identical to the
-/// sequential search (node counts may differ).
+/// completed yet). The search is sequential whatever the thread setting.
 ///
 /// # Errors
 ///
@@ -514,7 +453,7 @@ pub fn exact_schedule(
 
 /// [`exact_schedule`] with the bound oracle armed: at every node the
 /// incremental bound is asserted equal to the from-scratch recomputation.
-/// Slow; for equivalence tests and ablation benches only.
+/// Slow; for equivalence tests only.
 ///
 /// # Errors
 ///
@@ -547,71 +486,21 @@ fn exact_impl(
         ops.sort_by_key(|&o| (frames.get(o).alap, o));
         order.extend(ops);
     }
-    let bounds = Bounds::new(system, spec);
-    let threads = rayon::current_num_threads();
-    // Root start times to split across workers. The first op in order has
-    // no predecessors (its preds would sort strictly earlier), so its
-    // candidate range is the full frame.
-    let root_range: Vec<u32> = order
-        .first()
-        .map(|&o| {
-            let f = frames.get(o);
-            (f.asap..=f.alap).collect()
-        })
-        .unwrap_or_default();
-    let (best, total_nodes) = if threads <= 1 || root_range.len() <= 1 {
-        let mut search = Search {
-            system,
-            frames: &frames,
-            order: &order,
-            starts: vec![None; system.num_ops()],
-            bounds,
-            best: None,
-            nodes: 0,
-            node_limit,
-            shared: None,
-            check_bounds,
-        };
-        search.dfs(0, spec);
-        (search.best, search.nodes)
-    } else {
-        // Root node itself is accounted once, up front.
-        let shared = SharedSearch {
-            incumbent: AtomicU64::new(u64::MAX),
-            nodes: AtomicU64::new(1),
-        };
-        let root = order[0];
-        let results = rayon::par_map_indexed(root_range.len(), |i| {
-            let t = root_range[i];
-            let mut search = Search {
-                system,
-                frames: &frames,
-                order: &order,
-                starts: vec![None; system.num_ops()],
-                bounds: bounds.clone(),
-                best: None,
-                nodes: 0,
-                node_limit,
-                shared: Some(&shared),
-                check_bounds,
-            };
-            search.starts[root.index()] = Some(t);
-            search.bounds.schedule_op(root, t);
-            search.dfs(1, spec);
-            search.best
-        });
-        // Merge in root order with strict `<`: the winner is the best
-        // subtree of the earliest root start, same as sequential DFS.
-        let mut best: Option<(u64, Vec<Option<u32>>)> = None;
-        for r in results.into_iter().flatten() {
-            if best.as_ref().is_none_or(|(a, _)| r.0 < *a) {
-                best = Some(r);
-            }
-        }
-        (best, shared.nodes.load(Ordering::Relaxed))
+    let mut search = Search {
+        system,
+        frames: &frames,
+        order: &order,
+        starts: vec![None; system.num_ops()],
+        bounds: Bounds::new(system, spec),
+        best: None,
+        nodes: 0,
+        node_limit,
+        check_bounds,
     };
-    let complete = total_nodes <= node_limit;
-    Ok(best.map(|(area, starts)| {
+    search.dfs(0, spec);
+    let complete = !search.limit_hit();
+    let nodes = search.nodes;
+    Ok(search.best.map(|(area, starts)| {
         let mut schedule = Schedule::new(system.num_ops());
         for (i, s) in starts.iter().enumerate() {
             schedule.set(OpId::from_index(i), s.expect("complete assignment"));
@@ -619,7 +508,7 @@ fn exact_impl(
         ExactOutcome {
             schedule,
             area,
-            nodes: total_nodes,
+            nodes,
             complete,
         }
     }))
@@ -699,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_root_split_matches_sequential_search() {
+    fn uncapped_search_is_identical_at_every_thread_count() {
         let _guard = crate::test_support::threads_lock();
         let (sys, spec) = tiny_two_process();
         rayon::set_num_threads(1);
@@ -715,6 +604,37 @@ mod tests {
                 sequential.schedule.starts(),
                 parallel.schedule.starts(),
                 "threads = {threads}: start times must be bit-identical"
+            );
+        }
+        rayon::set_num_threads(0);
+    }
+
+    #[test]
+    fn capped_search_is_identical_at_every_thread_count() {
+        // 16 ops that finish in ~30k nodes sequentially: a 100k cap
+        // leaves room for the whole search at one thread, which a search
+        // whose budget depends on the thread count does not always get.
+        let _guard = crate::test_support::threads_lock();
+        let cfg = RandomSystemConfig {
+            processes: 2,
+            blocks_per_process: 1,
+            layers: 4,
+            ops_per_layer: (2, 2),
+            edge_prob: 0.5,
+            slack: 2.0,
+            type_weights: [2, 1, 2],
+        };
+        let (sys, _) = random_system(&cfg, 0).unwrap();
+        let spec = SharingSpec::all_global(&sys, 2);
+        rayon::set_num_threads(1);
+        let reference = exact_schedule(&sys, &spec, 100_000).unwrap().unwrap();
+        assert!(reference.complete, "the 1-thread search fits the cap");
+        for threads in [2, 4] {
+            rayon::set_num_threads(threads);
+            let out = exact_schedule(&sys, &spec, 100_000).unwrap().unwrap();
+            assert_eq!(
+                out, reference,
+                "threads = {threads}: schedule, area, completeness and nodes must match"
             );
         }
         rayon::set_num_threads(0);

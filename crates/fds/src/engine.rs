@@ -38,8 +38,8 @@
 //! iterations, so the sweep allocates nothing per candidate. The epsilon
 //! tie-break of the selection (`diff > best + 1e-12`) is *non-associative*,
 //! which is why pass 3 is an index-ordered fold. The engine never fans out
-//! itself: parallelism lives at coarser grain (partition shards, the
-//! period search, the exact search's root split), and every engine run is
+//! itself: parallelism lives at coarser grain (the partition shards and
+//! the period search), and every engine run is
 //! bit-identical at every thread count — the determinism suite and the
 //! `run_naive` oracle pin this down.
 

@@ -3,7 +3,7 @@
 //! Per iteration the original algorithm evaluates *every* feasible
 //! placement of *every* unscheduled operation, fixes the operation with the
 //! least force at its best time step, and repeats. It is kept as a baseline
-//! for the `fds_vs_ifds` ablation bench; production code should use the
+//! for `repro_merging_baseline`'s FDS-vs-IFDS rows; production code should use the
 //! engine in [`crate::engine`].
 
 use tcms_ir::{BlockId, System, TimeFrame};

@@ -1,8 +1,8 @@
 //! Cross-thread-count determinism suite.
 //!
-//! The scheduler, the shared-incumbent period search, the partition
-//! shards and the split exact search all promise *bit-identical* results at
-//! every worker-thread count. These tests pin that promise end to end
+//! The scheduler, the shared-incumbent period search and the partition
+//! shards all promise *bit-identical* results at every worker-thread
+//! count. These tests pin that promise end to end
 //! on randomized systems: anything the CLI can print — schedules,
 //! reports, exploration winners — must not change when the thread count
 //! does.
